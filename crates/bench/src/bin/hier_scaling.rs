@@ -10,7 +10,10 @@
 //! extras) and a flat-vs-hier comparison table on stdout.
 //!
 //! Exit status: 1 if the warm pass records **zero** fragment-memo hits —
-//! the memo regressing to a no-op is a build failure, not a slow run.
+//! the memo regressing to a no-op is a build failure, not a slow run —
+//! or **any** shared distance-cache miss. The warm pass re-maps the same
+//! devices, so every device and region quotient matrix must still be
+//! resident; a miss means something flooded the bounded cache.
 
 use bench_support::report::{batch_totals, JsonJobRow};
 use bench_support::{run_verified, shared_backend, Scale};
@@ -133,6 +136,7 @@ fn main() {
     let cold_rows = run_batch(&engine, &cold);
     let (memo_h1, memo_m1) = hier::subroute_memo_stats();
     let plan1 = hier::plan_store_stats();
+    let (_, dist_m_cold) = topology::shared_distance_stats();
     // Warm pass: identical hier jobs — every fragment must now be a hit.
     let warm_rows = run_batch(&engine, &warm);
     let wall_seconds = wall0.elapsed().as_secs_f64();
@@ -158,6 +162,7 @@ fn main() {
         })
         .collect();
     let warm_hits = memo_h2 - memo_h1;
+    let dist_misses_warm = dist_m1 - dist_m_cold;
     let extras = vec![
         ("memo_misses_cold".to_string(), (memo_m1 - memo_m0) as i64),
         ("memo_hits_cold".to_string(), (memo_h1 - memo_h0) as i64),
@@ -182,6 +187,7 @@ fn main() {
         ),
         ("distance_hits".to_string(), (dist_h1 - dist_h0) as i64),
         ("distance_misses".to_string(), (dist_m1 - dist_m0) as i64),
+        ("distance_misses_warm".to_string(), dist_misses_warm as i64),
     ];
     let (cpu_seconds, speedup) = batch_totals(wall_seconds, &rows);
     eprintln!(
@@ -220,13 +226,14 @@ fn main() {
         );
     }
     println!(
-        "\nfragment memo: cold {}m/{}h, warm {}h/{}m; distance cache {}h/{}m",
+        "\nfragment memo: cold {}m/{}h, warm {}h/{}m; distance cache {}h/{}m ({}m warm)",
         memo_m1 - memo_m0,
         memo_h1 - memo_h0,
         warm_hits,
         memo_m2 - memo_m1,
         dist_h1 - dist_h0,
         dist_m1 - dist_m0,
+        dist_misses_warm,
     );
     println!(
         "plan tiers: cold {} exact + {} canonical, warm {} exact + {} canonical",
@@ -237,6 +244,13 @@ fn main() {
     );
     if warm_hits == 0 {
         eprintln!("hier: FATAL: warm pass recorded zero fragment-memo hits");
+        std::process::exit(1);
+    }
+    if dist_misses_warm != 0 {
+        eprintln!(
+            "hier: FATAL: warm pass recomputed {dist_misses_warm} distance matrices \
+             (device matrices were evicted from the shared cache)"
+        );
         std::process::exit(1);
     }
 }

@@ -10,13 +10,15 @@
 //! BFS growth, which still guarantees connected regions.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use topology::{CouplingGraph, DistanceMatrix, NoiseModel};
+use topology::{CouplingGraph, NoiseModel};
 
 /// One region of the partition: a connected set of physical qubits with
-/// its induced subgraph (over local indices `0..len`) and that subgraph's
-/// distance matrix, computed once at analysis time so per-fragment
-/// sub-routing never touches the global distance cache.
+/// its induced subgraph over local indices `0..len`.
+///
+/// A region carries no distance matrix. Fragments are sub-routed on the
+/// *canonical* form of the region graph, which computes its own distances
+/// once per plan-memo miss; only device-level graphs (the device and the
+/// [`RegionMap::quotient`]) go through `CouplingGraph::shared_distances`.
 #[derive(Clone, Debug)]
 pub struct Region {
     /// Member qubits in BFS order from the region's seed; position in
@@ -24,8 +26,6 @@ pub struct Region {
     pub qubits: Vec<u32>,
     /// The induced coupling subgraph over local indices.
     pub device: CouplingGraph,
-    /// All-pairs distances of [`Region::device`].
-    pub dist: Arc<DistanceMatrix>,
 }
 
 impl Region {
@@ -234,9 +234,9 @@ pub fn coarsen(device: &CouplingGraph, budget: usize, noise: Option<&NoiseModel>
     build_region_map(device, region_of, sizes.len(), noise)
 }
 
-/// Materializes regions (BFS-ordered member lists, induced subgraphs,
-/// local distance matrices), the quotient graph and the scores from a
-/// completed qubit→region assignment.
+/// Materializes regions (BFS-ordered member lists and induced subgraphs),
+/// the quotient graph and the scores from a completed qubit→region
+/// assignment.
 fn build_region_map(
     device: &CouplingGraph,
     region_of: Vec<u32>,
@@ -308,11 +308,9 @@ fn build_region_map(
                 qubits.len(),
                 edges.as_slice(),
             );
-            let dist = Arc::new(sub.distances());
             Region {
                 qubits,
                 device: sub,
-                dist,
             }
         })
         .collect();

@@ -17,8 +17,9 @@
 //!    — a recursive [`qlosure::MappingPipeline`] run — ranked by a
 //!    noise-aware region score.
 //! 4. **Memoized sub-routing** ([`HierRoutingPass`]): intra-region gate
-//!    runs are routed by the flat pipeline on the region subgraph, their
-//!    SWAP plans cached in a bounded memo keyed on the fragment's
+//!    runs are routed by the flat pipeline on the region subgraph (its
+//!    distances an inline BFS, since the memo already deduplicates them),
+//!    their SWAP plans cached in a bounded memo keyed on the fragment's
 //!    *canonical form* ([`canonicalize`]) so isomorphic fragments under
 //!    any qubit labeling share one plan ([`plan_store_stats`]), with an
 //!    optional disk tier ([`PlanStore`], attached via

@@ -164,10 +164,15 @@ impl LayoutPass for HierLayoutPass {
 /// blocked gate selects a region; the maximal program-order run of
 /// pending gates living entirely inside that region becomes a *fragment*,
 /// whose SWAP plan comes from the content-keyed memo (computing it on a
-/// miss by running the flat pipeline on the region subgraph with the
-/// region's private distance matrix); the plan replays onto the real
-/// state with greedy ready-gate execution in between. Cross-region gates
-/// are stitched with a boundary SWAP chain along a device shortest path.
+/// miss by running the flat pipeline on the canonical region subgraph);
+/// the plan replays onto the real state with greedy ready-gate execution
+/// in between. Cross-region gates are stitched with a boundary SWAP chain
+/// along a device shortest path.
+///
+/// A plan miss computes its region's distances with a fresh BFS, not
+/// through `shared_distances`: the memo already runs it once per
+/// canonical key, and the shared cache stays reserved for device-level
+/// graphs (the device and the region quotient graph).
 #[derive(Clone, Debug, Default)]
 pub struct HierRoutingPass {
     config: HierConfig,
@@ -218,8 +223,10 @@ impl HierRoutingPass {
 /// reproducibility.
 fn canonical_plan(config: &QlosureConfig, key: &FragmentKey) -> Vec<(u32, u32)> {
     let device = topology::CouplingGraph::new("hier-canon", key.n_local as usize, &key.edges);
-    // Content-keyed process-wide cache: isomorphic regions share one BFS.
-    let dist = device.shared_distances();
+    // Inline BFS, not `shared_distances`: the plan memo already runs this
+    // once per canonical key, and routing every plan miss through the
+    // shared cache would evict the device and quotient matrices it holds.
+    let dist = device.distances();
     let mut local_circuit = Circuit::with_capacity(key.n_local as usize, key.gates.len());
     for (kind, operands, params) in &key.gates {
         local_circuit.push(Gate {

@@ -21,9 +21,14 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Maximum number of distinct graphs kept; the evaluation roster has 7
-/// back-ends plus a handful of test topologies, so 32 never evicts in
-/// practice while still bounding memory for adversarial workloads.
+/// Maximum number of distinct graphs kept. Only device-level graphs come
+/// through here: the back-ends a process maps onto plus, under the
+/// hierarchical mapper, one region quotient graph per device. Fragment
+/// sub-routes compute their small region distances inline, because the
+/// hier plan memo already deduplicates them and routing each plan miss
+/// through this cache would evict the device matrices. The evaluation
+/// roster has 7 back-ends, so 32 never evicts in practice while still
+/// bounding memory for adversarial workloads.
 const CAPACITY: usize = 32;
 
 /// A bounded, content-keyed, single-computation cache: the one
