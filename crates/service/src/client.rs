@@ -223,10 +223,15 @@ impl Client {
         self.request(&Request::Poll { id })
     }
 
-    /// Polls until job `id` completes, backing off exponentially between
-    /// rounds (10 ms doubling to a 100 ms cap — see `wait_backoff`) so
-    /// N waiting clients do not saturate a shard's accept loop the way a
-    /// fixed 10 ms hammer would.
+    /// Waits for job `id` to complete. Each round sends one `wait`
+    /// request carrying the time left; the daemon parks the connection
+    /// until the job finishes, so the result arrives as soon as it lands
+    /// and the client never sleeps. A round ends early (`pending`) at the
+    /// daemon's idle deadline, and the next round picks up from there. A
+    /// timeout too large to add to the clock means no deadline.
+    ///
+    /// Needs a daemon (and router) that serves `wait`; older ones answer
+    /// it with `bad-request`.
     ///
     /// # Errors
     ///
@@ -234,10 +239,14 @@ impl Client {
     /// job failed, [`ClientError::Timeout`] past the deadline, plus
     /// transport failures.
     pub fn wait(&mut self, id: u64, timeout: Duration) -> Result<Summary, ClientError> {
-        let deadline = Instant::now() + timeout;
-        let mut round = 0u32;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            match self.expect(&Request::Poll { id })? {
+            let left = deadline.map_or(Duration::MAX, |deadline| {
+                deadline.saturating_duration_since(Instant::now())
+            });
+            // Rounded up, so a round never ends just short of the deadline.
+            let timeout_ms = u64::try_from(left.as_micros().div_ceil(1000)).unwrap_or(u64::MAX);
+            match self.expect(&Request::Wait { id, timeout_ms })? {
                 Response::Done { summary, .. } => return Ok(summary),
                 Response::Failed { message, .. } => {
                     return Err(ClientError::Server {
@@ -246,11 +255,9 @@ impl Client {
                     })
                 }
                 Response::Pending { .. } => {
-                    if Instant::now() >= deadline {
+                    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                         return Err(ClientError::Timeout { id });
                     }
-                    std::thread::sleep(wait_backoff(round));
-                    round += 1;
                 }
                 other => return Err(ClientError::Unexpected(Box::new(other))),
             }
@@ -329,26 +336,5 @@ impl Client {
             Response::ShuttingDown { pending } => Ok(pending),
             other => Err(ClientError::Unexpected(Box::new(other))),
         }
-    }
-}
-
-/// The poll backoff schedule for [`Client::wait`]: round `n` sleeps
-/// `10 ms × 2^n`, capped at 100 ms — 10, 20, 40, 80, 100, 100, …
-fn wait_backoff(round: u32) -> Duration {
-    const BASE_MS: u64 = 10;
-    const CAP_MS: u64 = 100;
-    Duration::from_millis((BASE_MS << round.min(4)).min(CAP_MS))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wait_backoff_doubles_to_a_hundred_ms_cap() {
-        let schedule: Vec<u64> = (0..8).map(|r| wait_backoff(r).as_millis() as u64).collect();
-        assert_eq!(schedule, [10, 20, 40, 80, 100, 100, 100, 100]);
-        // Far-out rounds must not overflow the shift or exceed the cap.
-        assert_eq!(wait_backoff(u32::MAX), Duration::from_millis(100));
     }
 }

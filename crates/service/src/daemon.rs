@@ -4,7 +4,9 @@
 //!
 //! One thread per connection reads frames line by line (bounded at
 //! `MAX_FRAME` bytes), decodes, dispatches, and writes one response line
-//! per request. The connection layer is the hardened plumbing from
+//! per request. A `wait` request parks that thread on the job's
+//! completion, so a client learns of a result when it lands instead of
+//! polling for it. The connection layer is the hardened plumbing from
 //! [`crate::net`]: a connection cap with typed `busy` refusals, a
 //! per-connection idle deadline (no slowloris pinning an OS thread), and
 //! graceful shutdown that *joins* every live connection thread. A
@@ -14,14 +16,13 @@
 //! wire.
 
 use crate::intake::{JobOutcome, MappingService, PollReply, ServiceConfig};
-use crate::net::{self, ConnLimits, Endpoint, FrameEvent, Listener, Stream};
+use crate::net::{self, ConnLimits, Endpoint, FrameEvent, Listener, StopFlag, Stream};
 use crate::proto::{
     encode_response, parse_request, ErrorCode, EventBody, EventsBody, Request, Response, SpanNode,
     StatsBody, MAX_FRAME,
 };
 use crate::registry;
 use std::io::{BufReader, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -77,8 +78,9 @@ impl DaemonConfig {
 /// A daemon running on a background thread (in-process harnesses: tests,
 /// the throughput and fleet benches).
 pub struct DaemonHandle {
-    /// The endpoint the daemon is actually serving on — for TCP with
-    /// port 0 this is the kernel-resolved port, ready to connect to.
+    /// The endpoint the daemon is actually serving on, ready to connect
+    /// to: for TCP, port 0 resolves to the kernel-assigned port and a
+    /// wildcard address to loopback.
     pub endpoint: Endpoint,
     thread: JoinHandle<std::io::Result<StatsBody>>,
 }
@@ -135,19 +137,19 @@ fn serve(listener: Listener, config: DaemonConfig) -> std::io::Result<StatsBody>
         hier::configure_plan_store(dir)?;
     }
     let service = Arc::new(MappingService::start(config.service.clone()));
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(StopFlag::new(listener.local_endpoint(&config.endpoint)));
     let limits = ConnLimits {
         max_connections: config.max_connections.max(1),
         read_timeout: config.read_timeout,
     };
     let handler = {
-        let (service, shutdown) = (service.clone(), shutdown.clone());
+        let (service, stop) = (service.clone(), stop.clone());
         let idle = config.read_timeout;
         Arc::new(move |stream: Stream| {
-            let _ = handle_connection(&service, &shutdown, idle, stream);
+            let _ = handle_connection(&service, &stop, idle, stream);
         })
     };
-    let served = net::accept_loop(&listener, &shutdown, limits, handler);
+    let served = net::accept_loop(&listener, &stop, limits, handler);
     let stats = service.shutdown();
     if let Endpoint::Unix(path) = &config.endpoint {
         std::fs::remove_file(path).ok();
@@ -157,14 +159,14 @@ fn serve(listener: Listener, config: DaemonConfig) -> std::io::Result<StatsBody>
 
 fn handle_connection(
     service: &MappingService,
-    shutdown: &Arc<AtomicBool>,
+    stop: &StopFlag,
     idle_limit: Duration,
     stream: Stream,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     loop {
-        let line = match net::read_frame(&mut reader, shutdown, idle_limit)? {
+        let line = match net::read_frame(&mut reader, stop.flag(), idle_limit)? {
             FrameEvent::Frame(line) => line,
             // Client hung up or the daemon is shutting down: close so
             // the accept loop can join.
@@ -195,7 +197,7 @@ fn handle_connection(
         if line.is_empty() {
             continue; // tolerate blank keep-alive lines
         }
-        let (response, end) = dispatch(service, shutdown, &line);
+        let (response, end) = dispatch(service, stop, idle_limit, &line);
         let frame = encode_response(&response).map_err(std::io::Error::other)?;
         writer.write_all(format!("{frame}\n").as_bytes())?;
         writer.flush()?;
@@ -228,9 +230,29 @@ pub(crate) fn journal_window(min_level: obs::Level, after_seq: u64) -> EventsBod
     }
 }
 
+/// The answer to `poll`, and to `wait` once its park ends: the job's
+/// phase or stored outcome.
+fn job_reply(service: &MappingService, id: u64) -> Response {
+    match service.poll(id) {
+        PollReply::Unknown => Response::Error {
+            code: ErrorCode::UnknownId,
+            message: format!("no job {id} (never submitted, or its result was evicted)"),
+        },
+        PollReply::Pending { running } => Response::Pending { id, running },
+        PollReply::Finished(JobOutcome::Done(summary)) => Response::Done { id, summary },
+        PollReply::Finished(JobOutcome::Failed(message)) => Response::Failed { id, message },
+    }
+}
+
 /// Decodes and executes one frame; the flag says whether this frame ends
-/// the connection (a shutdown acknowledgement).
-fn dispatch(service: &MappingService, shutdown: &AtomicBool, line: &str) -> (Response, bool) {
+/// the connection (a shutdown acknowledgement). A `wait` parks this
+/// connection's thread for at most `idle_limit`.
+fn dispatch(
+    service: &MappingService,
+    stop: &StopFlag,
+    idle_limit: Duration,
+    line: &str,
+) -> (Response, bool) {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(e) => {
@@ -265,20 +287,16 @@ fn dispatch(service: &MappingService, shutdown: &AtomicBool, line: &str) -> (Res
                 Err((code, message)) => (Response::Error { code, message }, false),
             }
         }
-        Request::Poll { id } => (
-            match service.poll(id) {
-                PollReply::Unknown => Response::Error {
-                    code: ErrorCode::UnknownId,
-                    message: format!("no job {id} (never submitted, or its result was evicted)"),
-                },
-                PollReply::Pending { running } => Response::Pending { id, running },
-                PollReply::Finished(JobOutcome::Done(summary)) => Response::Done { id, summary },
-                PollReply::Finished(JobOutcome::Failed(message)) => {
-                    Response::Failed { id, message }
-                }
-            },
-            false,
-        ),
+        Request::Poll { id } => (job_reply(service, id), false),
+        Request::Wait { id, timeout_ms } => {
+            // Clamped before any deadline arithmetic: the client picks
+            // `timeout_ms`, and no park outlasts the idle deadline. A
+            // shutdown drains every admitted job, so a parked wait ends
+            // before the accept loop joins this thread.
+            let park = Duration::from_millis(timeout_ms).min(idle_limit);
+            let _ = service.wait(id, park);
+            (job_reply(service, id), false)
+        }
         Request::Trace { id } => (
             match service.trace(id).and_then(|(trace_id, spans)| {
                 SpanNode::from_spans(&spans).map(|root| (trace_id, root))
@@ -308,7 +326,7 @@ fn dispatch(service: &MappingService, shutdown: &AtomicBool, line: &str) -> (Res
             // Stop admissions immediately so the pending count is final,
             // then let the accept loop run the drain.
             service.begin_shutdown();
-            shutdown.store(true, Ordering::SeqCst);
+            stop.raise();
             (
                 Response::ShuttingDown {
                     pending: service.pending(),

@@ -406,9 +406,10 @@ impl MappingService {
     }
 
     /// Blocks until job `id` finishes (returning its outcome) or the
-    /// timeout elapses (`None`). Unknown IDs return `None` immediately.
+    /// timeout elapses (`None`). Unknown IDs return `None` immediately; a
+    /// timeout too large to add to the clock means no deadline.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobOutcome> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.lock();
         loop {
             match state.phases.get(&id) {
@@ -416,7 +417,9 @@ impl MappingService {
                 Some(Phase::Done) => return state.results.get(&id).cloned(),
                 Some(_) => {}
             }
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.map_or(Duration::MAX, |deadline| {
+                deadline.saturating_duration_since(Instant::now())
+            });
             if left.is_zero() {
                 return None;
             }
@@ -1144,6 +1147,21 @@ mod tests {
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0);
+    }
+
+    #[test]
+    fn wait_without_a_representable_deadline_blocks_until_done() {
+        // `Instant::now() + Duration::MAX` overflows; the wait must treat
+        // it as no deadline rather than panic or return early.
+        let svc = service(1, 16, 16);
+        let id = svc.submit(spec(Priority::Batch, 40, 2)).unwrap();
+        let outcome = svc.wait(id, Duration::MAX).expect("finishes");
+        assert!(matches!(outcome, JobOutcome::Done(ref summary) if summary.verified));
+        assert!(
+            svc.wait(id + 999, Duration::MAX).is_none(),
+            "unknown IDs return at once"
+        );
+        svc.shutdown();
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! admission queue with interactive-over-batch priority, a scheduler
 //! thread draining into the engine's persistent
 //! [`StreamEngine`](engine::StreamEngine) workers, and a bounded FIFO
-//! result store polled by request ID. Because the process lives on, the
-//! shared per-device caches (`CouplingGraph::shared_distances`, the
-//! Presburger closure memo) amortize across requests, and the daemon's
-//! `stats` response reports their hit/miss counters so that amortization
-//! is observable.
+//! result store keyed by request ID, which a client reads with one
+//! `wait` request that the daemon parks until the job finishes. Because
+//! the process lives on, the shared per-device caches
+//! (`CouplingGraph::shared_distances`, the Presburger closure memo)
+//! amortize across requests, and the daemon's `stats` response reports
+//! their hit/miss counters so that amortization is observable.
 //!
 //! The pieces:
 //!
@@ -24,7 +25,8 @@
 //! * [`net`] — the transport layer: [`Endpoint`] (`unix:/path` or
 //!   `tcp:host:port`), stream/listener wrappers, and the hardened
 //!   connection plumbing (bounded resumable frame reads, connection cap,
-//!   idle deadlines, join-on-shutdown);
+//!   idle deadlines, a blocking accept that shutdown wakes,
+//!   join-on-shutdown);
 //! * [`daemon`] — the socket server (`qlosured` is a thin `main` over
 //!   [`daemon::run`]), serving either transport;
 //! * [`router`] — `qlosure-router`: a balancer fronting N `qlosured`

@@ -19,14 +19,17 @@
 //!   read-timeout wakeups (so a connection thread can observe shutdown),
 //!   cuts oversized frames off mid-read, and enforces an idle deadline
 //!   (a slowloris client cannot pin an OS thread forever);
-//! * `accept_loop` — a polling accept loop with a connection cap
+//! * `accept_loop` — a blocking accept loop with a connection cap
 //!   (excess connections are refused with a typed `busy` error frame,
 //!   never silently dropped) that **joins every live connection thread**
-//!   on graceful shutdown instead of leaking detached threads.
+//!   on graceful shutdown instead of leaking detached threads;
+//! * `StopFlag` — the shutdown flag both servers raise, which wakes the
+//!   blocked `accept` by connecting to the listener once, so nothing on
+//!   the serving path sleeps on a timer.
 
 use crate::proto::{encode_response, ErrorCode, Response, MAX_FRAME};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,10 +41,6 @@ use std::time::{Duration, Instant};
 /// flag and its idle deadline. Far below human-observable latency, far
 /// above syscall-churn territory.
 pub(crate) const CONN_TICK: Duration = Duration::from_millis(100);
-
-/// How long the accept loop sleeps when no connection is pending
-/// (`accept` has no portable wakeup).
-pub(crate) const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
 /// A serving or connection address: a Unix domain socket path or a TCP
 /// `host:port`.
@@ -117,13 +116,6 @@ pub(crate) fn bind(endpoint: &Endpoint) -> std::io::Result<Listener> {
 }
 
 impl Listener {
-    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-        }
-    }
-
     pub(crate) fn accept(&self) -> std::io::Result<Stream> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
@@ -131,15 +123,68 @@ impl Listener {
         }
     }
 
-    /// The endpoint actually bound — for TCP this resolves `port 0` to
-    /// the kernel-assigned port, which is how tests listen collision-free.
+    /// The endpoint a local client reaches this listener on. For TCP
+    /// this resolves `port 0` to the kernel-assigned port (which is how
+    /// tests listen collision-free) and a wildcard address (`0.0.0.0`,
+    /// `::`) to loopback of the same family.
     pub(crate) fn local_endpoint(&self, requested: &Endpoint) -> Endpoint {
         match self {
             Listener::Unix(_) => requested.clone(),
             Listener::Tcp(l) => match l.local_addr() {
-                Ok(addr) => Endpoint::Tcp(addr.to_string()),
+                Ok(mut addr) => {
+                    if addr.ip().is_unspecified() {
+                        addr.set_ip(match addr.ip() {
+                            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                        });
+                    }
+                    Endpoint::Tcp(addr.to_string())
+                }
                 Err(_) => requested.clone(),
             },
+        }
+    }
+}
+
+/// A server's shutdown flag, bound to the listener it has to wake.
+///
+/// The accept loop blocks in `accept`, so setting a flag alone would
+/// leave it asleep until the next client happened by. [`StopFlag::raise`]
+/// also connects to the listener's own address, once, on the first raise
+/// only; the accept loop checks the flag as soon as `accept` returns and
+/// drops that connection unread.
+pub(crate) struct StopFlag {
+    raised: AtomicBool,
+    /// Where the wake connection goes: the listener's
+    /// [`Listener::local_endpoint`].
+    wake: Endpoint,
+}
+
+impl StopFlag {
+    /// A lowered flag whose raise wakes the listener at `wake`.
+    pub(crate) fn new(wake: Endpoint) -> StopFlag {
+        StopFlag {
+            raised: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    /// The flag itself, for [`read_frame`] to observe.
+    pub(crate) fn flag(&self) -> &AtomicBool {
+        &self.raised
+    }
+
+    pub(crate) fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Raises the flag. Only the false→true transition connects to the
+    /// listener, so racing raises wake the accept loop once.
+    pub(crate) fn raise(&self) {
+        if !self.raised.swap(true, Ordering::SeqCst) {
+            // Best effort: if the connect fails, the listener is already
+            // gone or the next real connection wakes the loop instead.
+            let _ = Stream::connect(&self.wake);
         }
     }
 }
@@ -328,60 +373,61 @@ pub(crate) struct ConnLimits {
     pub read_timeout: Duration,
 }
 
-/// Runs the polling accept loop until `shutdown` is raised: every
-/// accepted stream gets its read timeout armed and is handed to `handler`
-/// on its own thread; connections beyond `limits.max_connections` are
-/// refused with a typed [`ErrorCode::Busy`] frame. On exit — shutdown or
-/// a fatal accept error — every live connection thread is **joined**
-/// (handlers observe the flag within one [`CONN_TICK`] via
+/// Runs the accept loop until `stop` is raised: every accepted stream
+/// gets its read timeout armed and is handed to `handler` on its own
+/// thread; connections beyond `limits.max_connections` are refused with a
+/// typed [`ErrorCode::Busy`] frame. `accept` blocks; [`StopFlag::raise`]
+/// wakes it with a connection of its own. On exit — shutdown or a fatal
+/// accept error — every live connection thread is **joined** (a handler
+/// waiting for a frame observes the flag within one [`CONN_TICK`] via
 /// [`read_frame`]), so the caller can tear the process down knowing no
 /// detached thread still holds its state.
 pub(crate) fn accept_loop<H>(
     listener: &Listener,
-    shutdown: &Arc<AtomicBool>,
+    stop: &StopFlag,
     limits: ConnLimits,
     handler: Arc<H>,
 ) -> std::io::Result<()>
 where
     H: Fn(Stream) + Send + Sync + 'static,
 {
-    listener.set_nonblocking(true)?;
     let active = Arc::new(AtomicUsize::new(0));
     let mut threads: Vec<JoinHandle<()>> = Vec::new();
     let mut accept_error = None;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                threads.retain(|t| !t.is_finished());
-                if active.load(Ordering::SeqCst) >= limits.max_connections {
-                    refuse_busy(stream, limits.max_connections);
-                    continue;
-                }
-                if stream.set_read_timeout(Some(CONN_TICK)).is_err()
-                    || stream.set_write_timeout(Some(limits.read_timeout)).is_err()
-                {
-                    continue; // peer already gone
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                let (active, handler) = (active.clone(), handler.clone());
-                threads.push(std::thread::spawn(move || {
-                    handler(stream);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
-            }
+    loop {
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
             Err(e) => {
                 accept_error = Some(e);
                 break;
             }
+        };
+        // Checked before the cap, so the wake connection of a raise ends
+        // the loop instead of drawing a `busy` refusal.
+        if stop.is_raised() {
+            break;
         }
+        threads.retain(|t| !t.is_finished());
+        if active.load(Ordering::SeqCst) >= limits.max_connections {
+            refuse_busy(stream, limits.max_connections);
+            continue;
+        }
+        if stream.set_read_timeout(Some(CONN_TICK)).is_err()
+            || stream.set_write_timeout(Some(limits.read_timeout)).is_err()
+        {
+            continue; // peer already gone
+        }
+        active.fetch_add(1, Ordering::SeqCst);
+        let (active, handler) = (active.clone(), handler.clone());
+        threads.push(std::thread::spawn(move || {
+            handler(stream);
+            active.fetch_sub(1, Ordering::SeqCst);
+        }));
     }
     // Raise the flag for the fatal-accept-error path too, then join every
     // connection: each blocked read wakes within a CONN_TICK and observes
     // it via `read_frame`.
-    shutdown.store(true, Ordering::SeqCst);
+    stop.raise();
     for thread in threads {
         let _ = thread.join();
     }

@@ -120,6 +120,20 @@ pub enum Request {
         /// The ID returned by the submit response.
         id: u64,
     },
+    /// Wait for a submitted job to finish, then answer exactly like
+    /// [`Request::Poll`] (additive op, like [`Request::Metrics`]). The
+    /// daemon parks the connection until the job finishes or `timeout_ms`
+    /// elapses, whichever is first, capped at its per-connection idle
+    /// deadline; a job still unfinished then answers `pending`.
+    Wait {
+        /// The ID returned by the submit response.
+        id: u64,
+        /// The longest the client will wait, in milliseconds. JSON numbers
+        /// are doubles, so values past 2^53 lose precision on the wire;
+        /// anything at or past 2^64 decodes as `u64::MAX`, which therefore
+        /// round-trips exactly.
+        timeout_ms: u64,
+    },
     /// Ask for a completed job's span tree (additive op, like
     /// [`Request::Metrics`]): answered when the submit opted in with
     /// `trace: true` or the job exceeded the daemon's slow-job retention
@@ -1008,6 +1022,13 @@ fn num_u64(x: u64) -> Json {
     Json::Num(x as f64)
 }
 
+/// A millisecond count, which may exceed 2^53 (a client's "no deadline"
+/// is `u64::MAX`): encoded as the nearest double, read back by
+/// [`millis_field`].
+fn num_millis(x: u64) -> Json {
+    Json::Num(x as f64)
+}
+
 fn versioned(op: &str, mut rest: Vec<(&str, Json)>) -> Json {
     let mut members = vec![
         ("v", num_u64(PROTOCOL_VERSION)),
@@ -1051,6 +1072,13 @@ pub fn encode_request(request: &Request) -> Result<String, json::EncodeError> {
             versioned("submit", members)
         }
         Request::Poll { id } => versioned("poll", vec![("id", num_u64(*id))]),
+        Request::Wait { id, timeout_ms } => versioned(
+            "wait",
+            vec![
+                ("id", num_u64(*id)),
+                ("timeout_ms", num_millis(*timeout_ms)),
+            ],
+        ),
         Request::Trace { id } => versioned("trace", vec![("id", num_u64(*id))]),
         Request::Stats => versioned("stats", vec![]),
         Request::Metrics => versioned("metrics", vec![]),
@@ -1363,6 +1391,16 @@ fn u64_field(value: &Json, name: &str) -> Result<u64, ProtoError> {
         .ok_or_else(|| shape(format!("field `{name}` must be a non-negative integer")))
 }
 
+/// A millisecond count: any non-negative integral number, saturating at
+/// `u64::MAX` (so the encoding of `u64::MAX`, 2^64, decodes back to it).
+fn millis_field(value: &Json, name: &str) -> Result<u64, ProtoError> {
+    field(value, name)?
+        .as_f64()
+        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+        .map(|x| x as u64)
+        .ok_or_else(|| shape(format!("field `{name}` must be a non-negative integer")))
+}
+
 fn f64_field(value: &Json, name: &str) -> Result<f64, ProtoError> {
     field(value, name)?
         .as_f64()
@@ -1446,6 +1484,10 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }
         "poll" => Ok(Request::Poll {
             id: u64_field(&value, "id")?,
+        }),
+        "wait" => Ok(Request::Wait {
+            id: u64_field(&value, "id")?,
+            timeout_ms: millis_field(&value, "timeout_ms")?,
         }),
         "trace" => Ok(Request::Trace {
             id: u64_field(&value, "id")?,
@@ -1814,6 +1856,18 @@ mod tests {
             Request::Poll {
                 id: u64::from(u32::MAX),
             },
+            Request::Wait {
+                id: 3,
+                timeout_ms: 0,
+            },
+            Request::Wait {
+                id: 4,
+                timeout_ms: 2_500,
+            },
+            Request::Wait {
+                id: 5,
+                timeout_ms: u64::MAX,
+            },
             Request::Trace { id: 9 },
             Request::Stats,
             Request::Metrics,
@@ -2129,6 +2183,20 @@ mod tests {
             ),
             (
                 "{\"v\":1,\"op\":\"poll\",\"id\":-007}",
+                ErrorCode::BadRequest,
+            ),
+            // `wait` needs a non-negative integral `timeout_ms`.
+            ("{\"v\":1,\"op\":\"wait\",\"id\":1}", ErrorCode::BadRequest),
+            (
+                "{\"v\":1,\"op\":\"wait\",\"id\":1,\"timeout_ms\":\"50\"}",
+                ErrorCode::BadRequest,
+            ),
+            (
+                "{\"v\":1,\"op\":\"wait\",\"id\":1,\"timeout_ms\":-1}",
+                ErrorCode::BadRequest,
+            ),
+            (
+                "{\"v\":1,\"op\":\"wait\",\"id\":1,\"timeout_ms\":0.5}",
                 ErrorCode::BadRequest,
             ),
         ] {

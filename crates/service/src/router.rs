@@ -12,9 +12,9 @@
 //! Everything else is pass-through with two twists:
 //!
 //! * **Job IDs are remapped statelessly.** Shard `s` of `n` assigning
-//!   local ID `j` becomes router ID `j * n + s`; a later `poll` inverts
-//!   the arithmetic (`s = id % n`, `j = id / n`) and lands on the right
-//!   shard without the router remembering anything.
+//!   local ID `j` becomes router ID `j * n + s`; a later `poll`, `wait`
+//!   or `trace` inverts the arithmetic (`s = id % n`, `j = id / n`) and
+//!   lands on the right shard without the router remembering anything.
 //! * **Shard errors stay typed.** A daemon's own error frames pass
 //!   through unchanged; a shard the router cannot reach (after one
 //!   reconnect attempt) answers with
@@ -30,13 +30,12 @@
 //! streams. `shutdown` fans out, then stops the router itself.
 
 use crate::client::{Client, ClientError};
-use crate::net::{self, ConnLimits, Endpoint, FrameEvent, Stream};
+use crate::net::{self, ConnLimits, Endpoint, FrameEvent, StopFlag, Stream};
 use crate::proto::{
     encode_response, parse_request, ErrorCode, HistoryBody, MetricsBody, Request, Response,
     SpanNode, StatsBody, MAX_FRAME, PROTOCOL_VERSION,
 };
 use std::io::{BufReader, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -70,8 +69,8 @@ impl RouterConfig {
 
 /// A router running on a background thread (tests, benches).
 pub struct RouterHandle {
-    /// The endpoint the router is actually serving on (TCP port 0
-    /// resolved).
+    /// The endpoint the router is actually serving on (TCP port 0 and
+    /// wildcard addresses resolved).
     pub endpoint: Endpoint,
     thread: JoinHandle<std::io::Result<()>>,
 }
@@ -143,20 +142,20 @@ fn serve(listener: net::Listener, config: RouterConfig) -> std::io::Result<()> {
     // disconnects) and serves it as one more stream next to its shards'.
     obs::enable();
     probe_shards(&config.shards);
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(StopFlag::new(listener.local_endpoint(&config.listen)));
     let limits = ConnLimits {
         max_connections: config.max_connections.max(1),
         read_timeout: config.read_timeout,
     };
     let handler = {
-        let shutdown = shutdown.clone();
+        let stop = stop.clone();
         let shards = config.shards.clone();
         let idle = config.read_timeout;
         Arc::new(move |stream: Stream| {
-            let _ = handle_connection(&shards, &shutdown, idle, stream);
+            let _ = handle_connection(&shards, &stop, idle, stream);
         })
     };
-    let served = net::accept_loop(&listener, &shutdown, limits, handler);
+    let served = net::accept_loop(&listener, &stop, limits, handler);
     if let Endpoint::Unix(path) = &config.listen {
         std::fs::remove_file(path).ok();
     }
@@ -281,7 +280,7 @@ fn unavailable(idx: usize, endpoint: &Endpoint, detail: &str) -> Response {
 
 fn handle_connection(
     shards: &[Endpoint],
-    shutdown: &Arc<AtomicBool>,
+    stop: &StopFlag,
     idle_limit: Duration,
     stream: Stream,
 ) -> std::io::Result<()> {
@@ -289,7 +288,7 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     loop {
-        let line = match net::read_frame(&mut reader, shutdown, idle_limit)? {
+        let line = match net::read_frame(&mut reader, stop.flag(), idle_limit)? {
             FrameEvent::Frame(line) => line,
             FrameEvent::Eof | FrameEvent::Shutdown => return Ok(()),
             FrameEvent::IdleTimeout => {
@@ -314,7 +313,7 @@ fn handle_connection(
         if line.is_empty() {
             continue;
         }
-        let (response, end) = route(&mut pool, shutdown, &line);
+        let (response, end) = route(&mut pool, stop, &line);
         let frame = encode_response(&response).map_err(std::io::Error::other)?;
         writer.write_all(format!("{frame}\n").as_bytes())?;
         writer.flush()?;
@@ -326,7 +325,7 @@ fn handle_connection(
 
 /// Decodes one frame and routes it; the flag says whether this frame ends
 /// the connection (a shutdown acknowledgement).
-fn route(pool: &mut ShardPool<'_>, shutdown: &AtomicBool, line: &str) -> (Response, bool) {
+fn route(pool: &mut ShardPool<'_>, stop: &StopFlag, line: &str) -> (Response, bool) {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(e) => {
@@ -355,23 +354,13 @@ fn route(pool: &mut ShardPool<'_>, shutdown: &AtomicBool, line: &str) -> (Respon
             };
             (response, false)
         }
-        Request::Poll { id } => {
-            let shard = (id % n) as usize;
-            let shard_id = id / n;
-            let response = match pool.call(shard, &Request::Poll { id: shard_id }) {
-                // Re-map every ID-bearing reply back to router IDs.
-                Response::Pending { running, .. } => Response::Pending { id, running },
-                Response::Done { summary, .. } => Response::Done { id, summary },
-                Response::Failed { message, .. } => Response::Failed { id, message },
-                Response::Error { code, message } if code == ErrorCode::UnknownId => {
-                    Response::Error {
-                        code,
-                        message: format!("no job {id} (router view): {message}"),
-                    }
-                }
-                other => other,
+        Request::Poll { id } => (job_reply(pool, id, Request::Poll { id: id / n }), false),
+        Request::Wait { id, timeout_ms } => {
+            let shard_request = Request::Wait {
+                id: id / n,
+                timeout_ms,
             };
-            (response, false)
+            (job_reply(pool, id, shard_request), false)
         }
         Request::Trace { id } => {
             let shard = (id % n) as usize;
@@ -424,9 +413,26 @@ fn route(pool: &mut ShardPool<'_>, shutdown: &AtomicBool, line: &str) -> (Respon
                     pending += p;
                 }
             }
-            shutdown.store(true, Ordering::SeqCst);
+            stop.raise();
             (Response::ShuttingDown { pending }, true)
         }
+    }
+}
+
+/// Sends `shard_request` — a `poll` or `wait` already rewritten to the
+/// shard-local ID — to the shard that owns router job `id`, and maps
+/// every ID in the reply back to router IDs.
+fn job_reply(pool: &mut ShardPool<'_>, id: u64, shard_request: Request) -> Response {
+    let shard = (id % pool.endpoints.len() as u64) as usize;
+    match pool.call(shard, &shard_request) {
+        Response::Pending { running, .. } => Response::Pending { id, running },
+        Response::Done { summary, .. } => Response::Done { id, summary },
+        Response::Failed { message, .. } => Response::Failed { id, message },
+        Response::Error { code, message } if code == ErrorCode::UnknownId => Response::Error {
+            code,
+            message: format!("no job {id} (router view): {message}"),
+        },
+        other => other,
     }
 }
 

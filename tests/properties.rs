@@ -688,7 +688,7 @@ fn arb_seconds() -> impl Strategy<Value = f64> {
 fn arb_request() -> impl Strategy<Value = service::Request> {
     use service::{Priority, Request};
     (
-        0u8..8,
+        0u8..9,
         arb_wire_string(),
         arb_wire_string(),
         arb_wire_string(),
@@ -717,6 +717,12 @@ fn arb_request() -> impl Strategy<Value = service::Request> {
                 },
                 1 => Request::Poll { id },
                 2 => Request::Trace { id },
+                // The two ends of the timeout range: "answer now" and a
+                // client with no deadline, which saturates the wire double.
+                7 => Request::Wait {
+                    id,
+                    timeout_ms: if fidelity == 0 { 0 } else { u64::MAX },
+                },
                 3 => Request::Stats,
                 4 => Request::Metrics,
                 5 => Request::MetricsHistory,

@@ -14,7 +14,7 @@ use service::{
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unique temp socket path per test.
 fn socket_path(tag: &str) -> PathBuf {
@@ -1016,4 +1016,248 @@ fn watchdog_flags_a_stalled_job_with_a_wire_retrievable_flight_record() {
     assert!(summary.verified);
     client.shutdown().unwrap();
     daemon.join().unwrap();
+}
+
+// ─────────────────────── server-parked wait ───────────────────────
+
+/// A three-qubit GHZ circuit: the smallest job that still routes.
+const GHZ3: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n\
+                    h q[0];\ncx q[0], q[1];\ncx q[0], q[2];\n";
+
+#[test]
+fn wait_parks_until_the_timeout_then_answers_like_poll() {
+    let daemon = daemon("wait-park", 1);
+    let mut client = connect(&daemon);
+    // A slow job pins the single worker, so the quick one stays queued.
+    let slow = client
+        .submit(
+            "king9",
+            "qlosure",
+            &queko_qasm("king9", 150, 4),
+            Priority::Batch,
+            false,
+        )
+        .unwrap();
+    let queued = client
+        .submit("aspen16", "qlosure", GHZ3, Priority::Batch, false)
+        .unwrap();
+    let t0 = Instant::now();
+    let reply = client
+        .request(&Request::Wait {
+            id: queued,
+            timeout_ms: 50,
+        })
+        .unwrap();
+    let parked = t0.elapsed();
+    assert!(
+        matches!(reply, Response::Pending { id, .. } if id == queued),
+        "a job still queued at the timeout answers pending: {reply:?}"
+    );
+    assert!(
+        parked >= Duration::from_millis(50),
+        "the daemon must park for the whole timeout, parked {parked:?}"
+    );
+    // With the time it has left, the client's wait returns the result.
+    let summary = client.wait(queued, WAIT).unwrap();
+    assert!(summary.verified);
+    // Once finished, `wait` answers at once, exactly like `poll`.
+    let reply = client
+        .request(&Request::Wait {
+            id: queued,
+            timeout_ms: 60_000,
+        })
+        .unwrap();
+    assert_eq!(reply, client.poll(queued).unwrap());
+    // A never-submitted ID is unknown, not a hang.
+    match client.request(&Request::Wait {
+        id: 999_999,
+        timeout_ms: 60_000,
+    }) {
+        Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::UnknownId),
+        other => panic!("expected unknown-id, got {other:?}"),
+    }
+    client.wait(slow, WAIT).unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn huge_wait_timeouts_mean_no_deadline_instead_of_overflowing() {
+    let daemon = daemon("wait-overflow", 1);
+    let mut client = connect(&daemon);
+    let id = client
+        .submit("aspen16", "qlosure", GHZ3, Priority::Interactive, false)
+        .unwrap();
+    // `Instant::now() + Duration::MAX` would panic; the wait treats it as
+    // "no deadline" and returns the finished job's summary.
+    let summary = client.wait(id, Duration::MAX).unwrap();
+    assert!(summary.verified);
+    // The same over the raw wire: u64::MAX ms reaches the daemon's
+    // deadline arithmetic only after its clamp.
+    let stream = UnixStream::connect(unix_path(&daemon)).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut roundtrip = |line: &str| -> Response {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        parse_response(reply.trim_end()).unwrap()
+    };
+    match roundtrip(&format!(
+        "{{\"v\":1,\"op\":\"wait\",\"id\":{id},\"timeout_ms\":18446744073709551615}}"
+    )) {
+        Response::Done { id: got, summary } => {
+            assert_eq!(got, id);
+            assert!(summary.verified);
+        }
+        other => panic!("expected done, got {other:?}"),
+    }
+    // The connection thread survived and keeps serving.
+    match roundtrip(&encode_request(&Request::Stats).unwrap()) {
+        Response::Stats(stats) => assert_eq!(stats.completed, 1),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+/// Two one-worker shards behind a router on a kernel-assigned TCP port.
+fn router_fleet(tag: &str) -> (service::RouterHandle, DaemonHandle, DaemonHandle) {
+    let shard_a = daemon(&format!("{tag}-a"), 1);
+    let shard_b = daemon(&format!("{tag}-b"), 1);
+    let router = service::router::spawn(RouterConfig::fronting(
+        Endpoint::Tcp("127.0.0.1:0".to_string()),
+        vec![shard_a.endpoint.clone(), shard_b.endpoint.clone()],
+    ))
+    .unwrap();
+    (router, shard_a, shard_b)
+}
+
+#[test]
+fn router_forwards_wait_and_remaps_the_id() {
+    let (router, shard_a, shard_b) = router_fleet("wait-router");
+    // A device on shard 1, so router ID 2j+1 never equals shard ID j.
+    let backend = (3..)
+        .map(|n| format!("line:{n}"))
+        .find(|key| content_shard(key, 2) == 1)
+        .expect("some line device lands on shard 1");
+    let mut client = Client::connect_endpoint(&router.endpoint).unwrap();
+    let id = client
+        .submit(&backend, "qlosure", GHZ3, Priority::Interactive, false)
+        .unwrap();
+    assert_eq!(id % 2, 1);
+    match client.request(&Request::Wait {
+        id,
+        timeout_ms: 60_000,
+    }) {
+        Ok(Response::Done { id: got, summary }) => {
+            assert_eq!(got, id, "the done reply carries the router ID");
+            assert!(summary.verified);
+        }
+        other => panic!("expected done, got {other:?}"),
+    }
+    match client.request(&Request::Wait {
+        id: id + 1_000_000,
+        timeout_ms: 60_000,
+    }) {
+        Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::UnknownId),
+        other => panic!("expected unknown-id, got {other:?}"),
+    }
+    client.shutdown().unwrap();
+    router.join().unwrap();
+    shard_a.join().unwrap();
+    shard_b.join().unwrap();
+}
+
+#[test]
+fn fresh_connection_round_trips_through_the_router_take_milliseconds() {
+    // The serving latency gate: a client that connects, submits a tiny
+    // job and waits for it must see the mapping time plus a few socket
+    // hops, not a timer. A sleep anywhere on the path (an accept tick at
+    // the router or at the shard it dials, a poll backoff) puts the
+    // median at tens of milliseconds.
+    let (router, shard_a, shard_b) = router_fleet("latency-gate");
+    let mut samples: Vec<Duration> = (0..21)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut client = Client::connect_endpoint(&router.endpoint).unwrap();
+            let id = client
+                .submit("line:3", "qlosure", GHZ3, Priority::Interactive, false)
+                .unwrap();
+            assert!(client.wait(id, WAIT).unwrap().verified);
+            t0.elapsed()
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median fresh-connection submit→wait through the router took {median:?} \
+         (all samples: {samples:?})"
+    );
+    let mut client = Client::connect_endpoint(&router.endpoint).unwrap();
+    client.shutdown().unwrap();
+    router.join().unwrap();
+    shard_a.join().unwrap();
+    shard_b.join().unwrap();
+}
+
+/// Runs `join` on its own thread and reports whether it returned within
+/// `limit` (a blocked accept that nothing wakes would hang it forever).
+fn joins_within<T: Send + 'static>(
+    join: impl FnOnce() -> std::io::Result<T> + Send + 'static,
+    limit: Duration,
+) -> bool {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(join().is_ok());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(joined) => {
+            waiter.join().expect("the join thread sent its result");
+            joined
+        }
+        // Still blocked (or panicked): a hung waiter cannot be joined.
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_on_a_unix_socket() {
+    let daemon = daemon("accept-wake", 1);
+    connect(&daemon).shutdown().unwrap();
+    assert!(
+        joins_within(move || daemon.join(), Duration::from_secs(5)),
+        "the daemon must exit within 5 s of shutdown"
+    );
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_on_a_wildcard_tcp_bind() {
+    // Both servers bound to 0.0.0.0: the wake connection must reach the
+    // listener through loopback, not the unconnectable wildcard address.
+    let wildcard = || Endpoint::Tcp("0.0.0.0:0".to_string());
+    let mut config = DaemonConfig::listening(wildcard());
+    config.service.workers = 1;
+    let shard = service::daemon::spawn(config).unwrap();
+    let router = service::router::spawn(RouterConfig::fronting(
+        wildcard(),
+        vec![shard.endpoint.clone()],
+    ))
+    .unwrap();
+    let mut client = Client::connect_endpoint(&router.endpoint).unwrap();
+    let id = client
+        .submit("line:3", "qlosure", GHZ3, Priority::Interactive, false)
+        .unwrap();
+    assert!(client.wait(id, WAIT).unwrap().verified);
+    client.shutdown().unwrap();
+    assert!(
+        joins_within(move || router.join(), Duration::from_secs(5)),
+        "the router must exit within 5 s of shutdown"
+    );
+    assert!(
+        joins_within(move || shard.join(), Duration::from_secs(5)),
+        "the shard must exit within 5 s of the fanned-out shutdown"
+    );
 }
