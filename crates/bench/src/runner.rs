@@ -12,8 +12,7 @@ use baselines::{CirqMapper, QmapMapper, SabreMapper, TketMapper};
 use circuit::{verify_routing, Circuit};
 use engine::BatchEngine;
 use qlosure::{Mapper, MappingResult, QlosureMapper};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use topology::{backends, CouplingGraph};
 
@@ -117,29 +116,16 @@ pub fn backend_by_name(name: &str) -> CouplingGraph {
     backends::by_name(name).unwrap_or_else(|| panic!("unknown backend `{name}`"))
 }
 
-/// Resolves a back-end by name through a process-wide memo, so every job
-/// of a batch shares one allocation — one adjacency/neighbor table — per
-/// device instead of rebuilding the graph per job. (The device's distance
-/// matrix is shared separately via `CouplingGraph::shared_distances`.)
+/// Resolves a back-end by name through the process-wide device memo
+/// ([`backends::shared_by_name`]), so every job of a batch shares one
+/// allocation — one adjacency/neighbor table — per device instead of
+/// rebuilding the graph per job.
 ///
 /// # Panics
 ///
 /// Panics on unknown names (same roster as [`backend_by_name`]).
 pub fn shared_backend(name: &str) -> Arc<CouplingGraph> {
-    static MEMO: OnceLock<Mutex<HashMap<String, Arc<CouplingGraph>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(Default::default);
-    if let Some(hit) = memo.lock().expect("backend memo poisoned").get(name) {
-        return hit.clone();
-    }
-    // Construct outside the lock so a slow build never serializes lookups
-    // of other (cached) backends; a concurrent duplicate build is cheap
-    // and the entry API keeps the first insertion.
-    let built = Arc::new(backend_by_name(name));
-    memo.lock()
-        .expect("backend memo poisoned")
-        .entry(name.to_string())
-        .or_insert(built)
-        .clone()
+    backends::shared_by_name(name).unwrap_or_else(|| panic!("unknown backend `{name}`"))
 }
 
 /// The mapper roster of the evaluation (paper order).

@@ -7,7 +7,7 @@ use std::fmt;
 ///
 /// Only the *shape* of a gate (its qubit count) matters to routing; the
 /// enum keeps names and parameters so circuits round-trip through QASM.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GateKind {
     // --- single-qubit ---
     /// Identity.

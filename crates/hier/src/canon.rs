@@ -31,13 +31,12 @@
 //! properties pin all three). Plans are *computed in canonical slots*
 //! (the sub-router routes the canonical circuit on the canonical
 //! adjacency) and replayed through [`Canonical::to_local`], so a stored
-//! plan is a pure function of its key — the invariant every tier of the
-//! store (in-memory, speculative prefetch, disk) relies on for
-//! bit-for-bit thread-count and cross-process determinism.
+//! plan is a pure function of its key — the invariant both tiers of the
+//! store (in-memory, disk) rely on for bit-for-bit thread-count and
+//! cross-process determinism.
 
 use crate::memo::{FragmentGate, FragmentKey};
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A canonicalized fragment: the content key plus the inverse
 /// relabeling needed to replay a canonical-slot SWAP plan onto the real
@@ -54,9 +53,9 @@ pub struct Canonical {
 }
 
 /// Canonicalizes a fragment: `edges` is the region adjacency over local
-/// slots, `gates` the fragment's gate stream over the same slots (kinds
-/// already interned), `config` the sub-router fingerprint. Pure and
-/// deterministic; see the module docs for the invariants.
+/// slots, `gates` the fragment's gate stream over the same slots,
+/// `config` the sub-router fingerprint. Pure and deterministic; see the
+/// module docs for the invariants.
 pub fn canonicalize(
     n_local: u32,
     edges: &[(u32, u32)],
@@ -160,29 +159,13 @@ pub fn canonicalize(
     }
 }
 
-/// The process-wide gate-kind string interner: one shared `Arc<str>`
-/// per distinct kind name instead of a fresh `String` per gate in the
-/// hot routing loop. Lookup by `&str` allocates only on first sight of
-/// a name (the gate alphabet is tiny and effectively static, so the
-/// table needs no bound).
-pub fn intern(name: &str) -> Arc<str> {
-    static TABLE: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut table = table.lock().expect("intern table poisoned");
-    if let Some(hit) = table.get(name) {
-        return hit.clone();
-    }
-    let fresh: Arc<str> = Arc::from(name);
-    table.insert(fresh.clone());
-    fresh
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use circuit::GateKind;
 
-    fn gate(kind: &str, operands: &[u32]) -> FragmentGate {
-        (intern(kind), operands.to_vec(), Vec::new())
+    fn gate(kind: GateKind, operands: &[u32]) -> FragmentGate {
+        (kind, operands.to_vec(), Vec::new())
     }
 
     /// Applies slot permutation `perm` (original -> new) to a fragment.
@@ -213,19 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_one_allocation_per_name() {
-        let a = intern("cx");
-        let b = intern("cx");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_ne!(intern("cz"), a);
-    }
-
-    #[test]
     fn first_use_order_relabels_the_gate_stream() {
         // Line 0-1-2-3; gates touch 2 then 0, so canonical 0 = slot 2.
         let edges = vec![(0, 1), (1, 2), (2, 3)];
-        let gates = vec![gate("cx", &[2, 0])];
-        let c = canonicalize(4, &edges, &gates, intern("cfg"));
+        let gates = vec![gate(GateKind::Cx, &[2, 0])];
+        let c = canonicalize(4, &edges, &gates, Arc::from("cfg"));
         assert_eq!(c.key.gates[0].1, vec![0, 1]);
         assert_eq!(&c.to_local[..2], &[2, 0]);
         // Every slot gets exactly one canonical label.
@@ -239,12 +214,16 @@ mod tests {
         // A 2x3 grid region with a two-gate fragment, under every
         // rotation of a slot permutation.
         let edges = vec![(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5)];
-        let gates = vec![gate("cx", &[1, 4]), gate("h", &[5]), gate("cx", &[5, 2])];
-        let base = canonicalize(6, &edges, &gates, intern("cfg"));
+        let gates = vec![
+            gate(GateKind::Cx, &[1, 4]),
+            gate(GateKind::H, &[5]),
+            gate(GateKind::Cx, &[5, 2]),
+        ];
+        let base = canonicalize(6, &edges, &gates, Arc::from("cfg"));
         for shift in 1..6u32 {
             let perm: Vec<u32> = (0..6).map(|i| (i + shift) % 6).collect();
             let (p_edges, p_gates) = permute(&perm, &edges, &gates);
-            let c = canonicalize(6, &p_edges, &p_gates, intern("cfg"));
+            let c = canonicalize(6, &p_edges, &p_gates, Arc::from("cfg"));
             assert_eq!(c.key, base.key, "shift {shift} changed the canonical key");
         }
     }
@@ -252,9 +231,9 @@ mod tests {
     #[test]
     fn canonicalization_is_idempotent() {
         let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)];
-        let gates = vec![gate("cx", &[3, 1]), gate("cx", &[1, 0])];
-        let once = canonicalize(5, &edges, &gates, intern("cfg"));
-        let twice = canonicalize(5, &once.key.edges, &once.key.gates, intern("cfg"));
+        let gates = vec![gate(GateKind::Cx, &[3, 1]), gate(GateKind::Cx, &[1, 0])];
+        let once = canonicalize(5, &edges, &gates, Arc::from("cfg"));
+        let twice = canonicalize(5, &once.key.edges, &once.key.gates, Arc::from("cfg"));
         assert_eq!(once.key, twice.key);
         // Re-canonicalizing the canonical form is the identity map.
         assert_eq!(twice.to_local, (0..5).collect::<Vec<u32>>());
@@ -265,8 +244,8 @@ mod tests {
         // A canonical-slot SWAP pulled back through to_local lands on
         // the original slots of the pair it was computed for.
         let edges = vec![(0, 1), (1, 2)];
-        let gates = vec![gate("cx", &[2, 0])];
-        let c = canonicalize(3, &edges, &gates, intern("cfg"));
+        let gates = vec![gate(GateKind::Cx, &[2, 0])];
+        let c = canonicalize(3, &edges, &gates, Arc::from("cfg"));
         // Canonical edge (0, x) exists where x = canonical label of
         // slot 1 (the middle): translation maps it back to (2, 1) or
         // (1, 2) territory — i.e. a real region edge.
@@ -280,9 +259,9 @@ mod tests {
     #[test]
     fn config_distinguishes_otherwise_identical_fragments() {
         let edges = vec![(0, 1)];
-        let gates = vec![gate("cx", &[0, 1])];
-        let a = canonicalize(2, &edges, &gates, intern("cfg-a"));
-        let b = canonicalize(2, &edges, &gates, intern("cfg-b"));
+        let gates = vec![gate(GateKind::Cx, &[0, 1])];
+        let a = canonicalize(2, &edges, &gates, Arc::from("cfg-a"));
+        let b = canonicalize(2, &edges, &gates, Arc::from("cfg-b"));
         assert_ne!(a.key, b.key);
     }
 }

@@ -65,7 +65,7 @@ mod pass;
 mod place;
 mod store;
 
-pub use canon::{canonicalize, intern, Canonical};
+pub use canon::{canonicalize, Canonical};
 pub use cluster::{cluster_index, cluster_qubits, Cluster, InteractionWeights};
 pub use coarsen::{
     auto_budget, coarsen, structured_assignment, structured_seeds, Region, RegionMap,

@@ -22,6 +22,7 @@
 //! optional [`crate::store::PlanStore`] tier.
 
 use crate::store::{fnv1a, PlanStore};
+use circuit::GateKind;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,12 +37,11 @@ const CAPACITY: usize = 1024;
 /// accumulate unbounded bookkeeping.
 const EXACT_TRACK: usize = 64;
 
-/// One gate of a fragment: interned kind name, region-local operand
-/// slots, parameter bit patterns. Exact content — two fragments collide
-/// only if they are the same computation. The kind is a shared
-/// [`Arc<str>`] from [`crate::canon::intern`], not a fresh `String` per
-/// gate.
-pub type FragmentGate = (Arc<str>, Vec<u32>, Vec<u64>);
+/// One gate of a fragment: gate kind, region-local operand slots,
+/// parameter bit patterns. Exact content — two fragments collide only if
+/// they are the same computation. The kind is kept as is, so the
+/// sub-router sees a barrier, measure or reset as exactly that.
+pub type FragmentGate = (GateKind, Vec<u32>, Vec<u64>);
 
 /// Content key of one routed fragment, in canonical form (construct via
 /// [`crate::canon::canonicalize`]; hand-built keys are only canonical if
@@ -54,8 +54,8 @@ pub struct FragmentKey {
     pub edges: Vec<(u32, u32)>,
     /// The fragment's gate stream over canonical slots.
     pub gates: Vec<FragmentGate>,
-    /// Canonical rendering of the sub-router configuration, interned so
-    /// the hot loop shares one allocation. Two differently-tuned
+    /// Canonical rendering of the sub-router configuration, built once
+    /// per routing run and shared by its fragments. Two differently-tuned
     /// hierarchical mappers never share a plan (Rust's float formatting
     /// round-trips exactly, so this is content-exact).
     pub config: Arc<str>,
@@ -79,8 +79,9 @@ pub fn key_bytes(key: &FragmentKey) -> Vec<u8> {
     }
     out.extend_from_slice(&(key.gates.len() as u32).to_le_bytes());
     for (kind, operands, params) in &key.gates {
-        out.extend_from_slice(&(kind.len() as u32).to_le_bytes());
-        out.extend_from_slice(kind.as_bytes());
+        let name = kind.name();
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(&(operands.len() as u32).to_le_bytes());
         for &q in operands {
             out.extend_from_slice(&q.to_le_bytes());
@@ -221,26 +222,16 @@ impl SubrouteMemo {
         *self.store.lock().expect("plan store poisoned") = Some(store);
     }
 
-    /// The plan for canonical `key`, computing it with `f` (which
-    /// receives the canonical key and must route the canonical fragment)
-    /// on a full miss. `exact_hash` fingerprints the *pre-canonical*
-    /// fragment ([`exact_fragment_hash`]) and only affects hit-tier
-    /// accounting. The compute runs outside the memo lock; racing
-    /// threads may duplicate the work, but the plan is a pure function
-    /// of the key so whichever insertion lands first wins and every
-    /// caller sees identical content.
-    pub fn get_or_compute(
-        &self,
-        key: FragmentKey,
-        exact_hash: u64,
-        f: impl FnOnce(&FragmentKey) -> Vec<(u32, u32)>,
-    ) -> SwapPlan {
-        self.get_or_compute_tiered(key, exact_hash, f).0
-    }
-
-    /// [`SubrouteMemo::get_or_compute`] that also reports which tier
-    /// satisfied *this* lookup — the aggregate counters cannot attribute
-    /// a decision to one fragment, which per-job tracing needs.
+    /// The plan for canonical `key` and the tier that satisfied *this*
+    /// lookup (the aggregate counters cannot attribute a decision to one
+    /// fragment, which per-job tracing needs). On a full miss the plan
+    /// is computed with `f`, which receives the canonical key and must
+    /// route the canonical fragment. `exact_hash` fingerprints the
+    /// *pre-canonical* fragment ([`exact_fragment_hash`]) and only
+    /// affects hit-tier accounting. The compute runs outside the memo
+    /// lock; racing threads may duplicate the work, but the plan is a
+    /// pure function of the key so whichever insertion lands first wins
+    /// and every caller sees identical content.
     pub fn get_or_compute_tiered(
         &self,
         key: FragmentKey,
@@ -360,14 +351,13 @@ pub fn plan_store_stats() -> PlanStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::intern;
 
     fn key(tag: u32) -> FragmentKey {
         FragmentKey {
             n_local: 4,
             edges: vec![(0, 1), (1, 2), (2, 3)],
-            gates: vec![(intern("cx"), vec![0, tag], Vec::new())],
-            config: intern("default"),
+            gates: vec![(GateKind::Cx, vec![0, tag], Vec::new())],
+            config: Arc::from("default"),
         }
     }
 
@@ -376,7 +366,7 @@ mod tests {
         let memo = SubrouteMemo::new();
         let mut computes = 0;
         for _ in 0..3 {
-            let plan = memo.get_or_compute(key(3), 7, |_| {
+            let (plan, _) = memo.get_or_compute_tiered(key(3), 7, |_| {
                 computes += 1;
                 vec![(0, 1), (1, 2)]
             });
@@ -390,14 +380,14 @@ mod tests {
     fn hit_tiers_distinguish_exact_from_canonical() {
         let memo = SubrouteMemo::new();
         // First sight: a miss, seeding exact hash 7.
-        memo.get_or_compute(key(3), 7, |_| vec![(0, 1)]);
+        memo.get_or_compute_tiered(key(3), 7, |_| vec![(0, 1)]);
         // Same original fragment again: exact hit.
-        memo.get_or_compute(key(3), 7, |_| unreachable!());
+        memo.get_or_compute_tiered(key(3), 7, |_| unreachable!());
         // Isomorphic variant (same canonical key, different original
         // labeling → different exact hash): canonical hit.
-        memo.get_or_compute(key(3), 8, |_| unreachable!());
+        memo.get_or_compute_tiered(key(3), 8, |_| unreachable!());
         // That variant repeats: now exact.
-        memo.get_or_compute(key(3), 8, |_| unreachable!());
+        memo.get_or_compute_tiered(key(3), 8, |_| unreachable!());
         let p = memo.plan_stats();
         assert_eq!(
             (p.exact_hits, p.canonical_hits, p.misses),
@@ -430,8 +420,8 @@ mod tests {
     #[test]
     fn distinct_fragments_do_not_collide() {
         let memo = SubrouteMemo::new();
-        let a = memo.get_or_compute(key(3), 1, |_| vec![(0, 1)]);
-        let b = memo.get_or_compute(key(2), 2, |_| vec![(2, 3)]);
+        let (a, _) = memo.get_or_compute_tiered(key(3), 1, |_| vec![(0, 1)]);
+        let (b, _) = memo.get_or_compute_tiered(key(2), 2, |_| vec![(2, 3)]);
         assert_ne!(*a, *b);
         assert_eq!(memo.stats(), (0, 2));
     }
@@ -440,11 +430,11 @@ mod tests {
     fn eviction_bounds_the_store() {
         let memo = SubrouteMemo::new();
         for i in 0..(CAPACITY as u32 + 5) {
-            memo.get_or_compute(key(i), u64::from(i), |_| vec![(i, i + 1)]);
+            memo.get_or_compute_tiered(key(i), u64::from(i), |_| vec![(i, i + 1)]);
         }
         // The oldest key was evicted: recomputation happens.
         let mut recomputed = false;
-        memo.get_or_compute(key(0), 0, |_| {
+        memo.get_or_compute_tiered(key(0), 0, |_| {
             recomputed = true;
             vec![(0, 1)]
         });
@@ -458,10 +448,11 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for round in 0..20u32 {
-                        let plan =
-                            memo.get_or_compute(key(round % 4), u64::from(round % 4), |_| {
-                                vec![((round % 4), (round % 4) + 1)]
-                            });
+                        let (plan, _) = memo.get_or_compute_tiered(
+                            key(round % 4),
+                            u64::from(round % 4),
+                            |_| vec![((round % 4), (round % 4) + 1)],
+                        );
                         assert_eq!(plan[0].1, plan[0].0 + 1);
                     }
                 });
@@ -478,19 +469,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cold = SubrouteMemo::new();
         cold.attach_store(PlanStore::open(&dir).unwrap());
-        cold.get_or_compute(key(3), 7, |_| vec![(0, 1), (1, 2)]);
+        cold.get_or_compute_tiered(key(3), 7, |_| vec![(0, 1), (1, 2)]);
         let p = cold.plan_stats();
         assert_eq!((p.misses, p.disk_writes, p.disk_hits), (1, 1, 0), "{p:?}");
         // A fresh memo (fresh process, conceptually) over the same dir:
         // the plan loads from disk, no compute runs.
         let warm = SubrouteMemo::new();
         warm.attach_store(PlanStore::open(&dir).unwrap());
-        let plan = warm.get_or_compute(key(3), 9, |_| unreachable!("disk tier must hit"));
+        let (plan, _) =
+            warm.get_or_compute_tiered(key(3), 9, |_| unreachable!("disk tier must hit"));
         assert_eq!(*plan, vec![(0, 1), (1, 2)]);
         let p = warm.plan_stats();
         assert_eq!((p.misses, p.disk_writes, p.disk_hits), (0, 0, 1), "{p:?}");
         // And it now sits in tier 0: the next lookup is a memory hit.
-        warm.get_or_compute(key(3), 9, |_| unreachable!());
+        warm.get_or_compute_tiered(key(3), 9, |_| unreachable!());
         assert_eq!(warm.plan_stats().exact_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

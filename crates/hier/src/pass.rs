@@ -11,21 +11,18 @@
 //! subgraph — recursively reusing [`MappingPipeline`] — and the resulting
 //! SWAP plans are memoized content-keyed in [`crate::memo`].
 
-use crate::canon::{canonicalize, intern};
+use crate::canon::canonicalize;
 use crate::cluster::{cluster_index, cluster_qubits, InteractionWeights};
 use crate::coarsen::{auto_budget, coarsen, RegionMap};
 use crate::memo::{self, exact_fragment_hash, FragmentGate, FragmentKey};
 use crate::place::{build_layout, place_clusters};
 use affine::DependenceAnalysis;
 use circuit::{Circuit, Gate, GateKind};
-use engine::BatchEngine;
 use qlosure::{
     AnalysisPass, Artifacts, DependenceWeightsPass, IdentityLayoutPass, Layout, LayoutPass, Mapper,
     MappingPipeline, MappingResult, PassContext, QlosureConfig, QlosureRoutingPass, RoutingPass,
     RoutingState,
 };
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use topology::NoiseModel;
 
@@ -53,13 +50,10 @@ pub struct HierConfig {
     /// Configuration of the flat Qlosure router used for region placement
     /// and per-region sub-routing.
     pub subroute: QlosureConfig,
-    /// Worker threads for speculative fragment prefetch: upcoming
-    /// fragments anchored in *other* regions are sub-routed concurrently
-    /// into the shared memo while the main thread replays strictly in
-    /// program order. `None` reads `ENGINE_THREADS` (the engine crate's
-    /// knob); `Some(1)` disables prefetch. Plans are pure functions of
-    /// their content key, so the routed output is bit-for-bit identical
-    /// at every thread count — the knob changes wall-clock time only.
+    /// Does nothing: the routing pass replays fragments on the calling
+    /// thread alone, so no value changes the routing or its cost. Kept
+    /// only because the `perfbench` benchmark still sets it; it goes
+    /// when the benchmark next changes.
     pub threads: Option<usize>,
 }
 
@@ -184,9 +178,8 @@ impl HierRoutingPass {
         HierRoutingPass { config }
     }
 
-    /// Builds the fragment's gate stream over region-local slots (with
-    /// interned kind names) — the pre-canonical form that
-    /// [`canonicalize`] turns into the memo key.
+    /// Builds the fragment's gate stream over region-local slots — the
+    /// pre-canonical form that [`canonicalize`] turns into the memo key.
     fn local_fragment(
         &self,
         state: &RoutingState<'_>,
@@ -203,7 +196,7 @@ impl HierRoutingPass {
                 .map(|&q| rm.local_of[state.layout().phys(q) as usize])
                 .collect();
             local_gates.push((
-                intern(gate.kind.name()),
+                gate.kind.clone(),
                 local,
                 gate.params.iter().map(|p| p.to_bits()).collect(),
             ));
@@ -214,11 +207,9 @@ impl HierRoutingPass {
 
 /// Routes a canonical fragment — reconstructing its circuit and region
 /// device from the key alone — with the flat pipeline and extracts its
-/// SWAP plan in canonical slots. A free function (not a method) so the
-/// prefetch workers — which outlive any `&self` borrow — run the
-/// identical computation: the plan is a pure, deterministic function of
-/// `(key, config)` and nothing else, which is what lets every tier of
-/// the store (memory, prefetch, disk) share plans across threads,
+/// SWAP plan in canonical slots. The plan is a pure, deterministic
+/// function of `(key, config)` and nothing else, which is what lets both
+/// tiers of the store (memory, disk) share plans across threads,
 /// processes and fragment labelings without breaking bit-for-bit
 /// reproducibility.
 fn canonical_plan(config: &QlosureConfig, key: &FragmentKey) -> Vec<(u32, u32)> {
@@ -230,7 +221,7 @@ fn canonical_plan(config: &QlosureConfig, key: &FragmentKey) -> Vec<(u32, u32)> 
     let mut local_circuit = Circuit::with_capacity(key.n_local as usize, key.gates.len());
     for (kind, operands, params) in &key.gates {
         local_circuit.push(Gate {
-            kind: GateKind::from_name(kind),
+            kind: kind.clone(),
             qubits: operands.clone(),
             params: params.iter().map(|&p| f64::from_bits(p)).collect(),
         });
@@ -253,15 +244,6 @@ fn canonical_plan(config: &QlosureConfig, key: &FragmentKey) -> Vec<(u32, u32)> 
     }
 }
 
-/// How far past the scan cursor the speculative prefetch looks for
-/// upcoming fragments (in gates). Bounds the per-step scan cost.
-const PREFETCH_HORIZON: usize = 2048;
-/// Maximum distinct regions speculated per step.
-const PREFETCH_REGIONS: usize = 8;
-/// Intake-queue bound of the prefetch pool; a full queue drops the
-/// speculation (best-effort) rather than blocking the replay thread.
-const PREFETCH_QUEUE: usize = 64;
-
 impl RoutingPass for HierRoutingPass {
     fn name(&self) -> &'static str {
         "hier-route"
@@ -281,34 +263,11 @@ impl RoutingPass for HierRoutingPass {
             }
         };
         let memo = memo::global();
-        let subroute_fingerprint: Arc<str> = intern(&format!("{:?}", self.config.subroute));
+        let subroute_fingerprint: Arc<str> = Arc::from(format!("{:?}", self.config.subroute));
         // One edge list per region for the whole run, shared by every
         // fragment canonicalization.
         let region_edges: Vec<Vec<(u32, u32)>> =
             rm.regions.iter().map(|r| r.device.edges()).collect();
-        // Speculative fragment prefetch: a persistent worker pool warms
-        // the shared memo with sub-route plans for fragments anchored in
-        // regions *other* than the one being replayed. The replay loop
-        // below is untouched — it always looks plans up by their true
-        // content key, and a plan is a pure function of that key — so the
-        // routed output is bit-for-bit identical at every thread count;
-        // prefetch only moves memo misses off the critical path. One
-        // thread skips speculation entirely (pure sequential replay).
-        let pool = match self.config.threads {
-            Some(n) => BatchEngine::with_threads(n),
-            None => BatchEngine::from_env(),
-        };
-        let prefetch = (pool.threads() > 1).then(|| {
-            let subroute = self.config.subroute.clone();
-            let worker = move |(key, exact_hash): (FragmentKey, u64)| {
-                memo::global().get_or_compute(key, exact_hash, |k| canonical_plan(&subroute, k));
-            };
-            pool.stream(PREFETCH_QUEUE, worker)
-        });
-        // u64 content hashes of already-submitted speculative keys: a
-        // repeat fragment is never resubmitted (a hash collision merely
-        // skips one speculation — correctness never depends on the set).
-        let mut submitted: HashSet<u64> = HashSet::new();
         let n_gates = state.circuit().gates().len();
         // Epoch-stamped scratch: `front_stamp[g] == epoch` means g is in
         // the current front; `host_stamp[l] == epoch` means logical l is
@@ -405,89 +364,6 @@ impl RoutingPass for HierRoutingPass {
                 &local_gates,
                 subroute_fingerprint.clone(),
             );
-            if let Some(stream) = &prefetch {
-                // Before sub-routing this fragment, scan the pending tail
-                // once and hand upcoming other-region fragments to the
-                // workers, so their plans compute while this one does.
-                // Speculation is best-effort: an intervening boundary
-                // stitch can shift a fragment's entry layout, in which
-                // case the submitted key never matches and the warm plan
-                // is simply unused.
-                let mut open: Vec<(u32, Vec<u32>)> = Vec::new();
-                let mut done: Vec<(u32, Vec<u32>)> = Vec::new();
-                let end = n_gates.min(cursor + PREFETCH_HORIZON);
-                for i in cursor..end {
-                    if state.in_degree(i as u32) == 0 && front_stamp[i] != epoch {
-                        continue; // executed
-                    }
-                    let gate = &state.circuit().gates()[i];
-                    if gate.qubits.is_empty() {
-                        continue;
-                    }
-                    let r0 = rm.region_of(state.layout().phys(gate.qubits[0]));
-                    let uniform = gate
-                        .qubits
-                        .iter()
-                        .all(|&q| rm.region_of(state.layout().phys(q)) == r0);
-                    if uniform {
-                        if r0 == ra || done.iter().any(|(r, _)| *r == r0) {
-                            continue;
-                        }
-                        let room = open.len() + done.len() < PREFETCH_REGIONS;
-                        if let Some((_, frag)) = open.iter_mut().find(|(r, _)| *r == r0) {
-                            frag.push(i as u32);
-                        } else if room {
-                            open.push((r0, vec![i as u32]));
-                        }
-                    } else {
-                        // A straddling gate is a dependence barrier for
-                        // every region it touches: those fragments end
-                        // here, exactly like the replay scan's `break`.
-                        for &q in &gate.qubits {
-                            let r = rm.region_of(state.layout().phys(q));
-                            if let Some(pos) = open.iter().position(|(or, _)| *or == r) {
-                                done.push(open.remove(pos));
-                            } else if !done.iter().any(|(dr, _)| *dr == r) {
-                                done.push((r, Vec::new()));
-                            }
-                        }
-                    }
-                }
-                if end == n_gates {
-                    // The scan ran off the circuit: open runs are maximal.
-                    done.append(&mut open);
-                }
-                // Speculation is invisible to the job's trace: suppress
-                // the context so prefetch submissions do not carry it to
-                // the pool workers (their spans would be noise and their
-                // timing is not on the job's critical path).
-                let _quiet = trace::suppress();
-                for (r, frag) in done {
-                    if frag.is_empty() {
-                        continue;
-                    }
-                    let spec_region = &rm.regions[r as usize];
-                    let spec_gates = self.local_fragment(state, rm, &frag);
-                    let spec_hash = exact_fragment_hash(
-                        spec_region.len() as u32,
-                        &region_edges[r as usize],
-                        &spec_gates,
-                        &subroute_fingerprint,
-                    );
-                    let spec_canon = canonicalize(
-                        spec_region.len() as u32,
-                        &region_edges[r as usize],
-                        &spec_gates,
-                        subroute_fingerprint.clone(),
-                    );
-                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                    spec_canon.key.hash(&mut hasher);
-                    if submitted.insert(hasher.finish()) {
-                        // Full queue = drop the speculation, never block.
-                        let _ = stream.submit((spec_canon.key, spec_hash));
-                    }
-                }
-            }
             let (plan, tier) = memo.get_or_compute_tiered(canonical.key, exact_hash, |k| {
                 canonical_plan(&self.config.subroute, k)
             });
@@ -648,17 +524,37 @@ mod tests {
         c.cx(2, 5); // first-use 5
         c.cx(1, 4);
         c.cx(3, 5);
+        let route_hier = |c: &Circuit| {
+            MappingPipeline::new(
+                IdentityLayoutPass,
+                HierRoutingPass::new(HierConfig {
+                    budget: Some(64),
+                    ..HierConfig::default()
+                }),
+            )
+            .map(c, &device)
+        };
         let flat = qlosure::QlosureMapper::default().map(&c, &device);
-        let hier = MappingPipeline::new(
-            IdentityLayoutPass,
-            HierRoutingPass::new(HierConfig {
-                budget: Some(64),
-                ..HierConfig::default()
-            }),
-        )
-        .map(&c, &device);
+        let hier = route_hier(&c);
         assert_eq!(flat, hier);
         assert!(flat.swaps > 0, "the comparison must exercise real SWAPs");
+        // A two-qubit barrier inside the fragment must reach the
+        // sub-router as a barrier (ordering only), not as a two-qubit
+        // gate that needs SWAPs of its own. Its operands change the
+        // first-use slot order, so SWAP operands may differ from the flat
+        // routing; the SWAP count may not.
+        let mut b = Circuit::new(6);
+        b.cx(0, 1);
+        b.cx(2, 3);
+        b.barrier(&[0, 5]);
+        b.cx(0, 4);
+        b.cx(2, 5);
+        b.cx(1, 4);
+        b.cx(3, 5);
+        let flat = qlosure::QlosureMapper::default().map(&b, &device);
+        let hier = route_hier(&b);
+        verify(&b, &device, &hier);
+        assert_eq!(hier.swaps, flat.swaps, "the barrier must cost no SWAP");
     }
 
     #[test]
@@ -680,7 +576,6 @@ mod tests {
         }
         let config = HierConfig {
             budget: Some(64), // one region: the whole cycle
-            threads: Some(1),
             ..HierConfig::default()
         };
         let route = |c: &Circuit| {
@@ -736,32 +631,6 @@ mod tests {
         let (h1, _) = memo::subroute_memo_stats();
         assert!(h1 > h0, "the warm run must hit the fragment memo");
         verify(&c, &device, &cold);
-    }
-
-    #[test]
-    fn prefetch_thread_count_never_changes_the_routing() {
-        // The parallel-fragment determinism rule: speculative prefetch
-        // only warms the content-keyed memo, so the routed circuit is
-        // bit-for-bit identical at every thread count.
-        let device = backends::square_grid(8, 8);
-        let c = scrambled_circuit(64, 300, 17);
-        let map_with = |threads: usize| {
-            HierMapper::with_config(HierConfig {
-                budget: Some(16),
-                threads: Some(threads),
-                ..HierConfig::default()
-            })
-            .map(&c, &device)
-        };
-        let sequential = map_with(1);
-        verify(&c, &device, &sequential);
-        for threads in [2, 4] {
-            assert_eq!(
-                sequential,
-                map_with(threads),
-                "threads={threads} must reproduce the sequential routing"
-            );
-        }
     }
 
     #[test]

@@ -7,9 +7,8 @@ use crate::proto::{ErrorCode, Priority, Strategy};
 use circuit::Circuit;
 use hier::HierMapper;
 use qlosure::{Mapper, QlosureMapper};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use topology::{backends, CouplingGraph, NoiseModel};
+use std::sync::Arc;
+use topology::{backends, NoiseModel};
 
 /// Seed of the deterministic synthetic calibration used for opt-in
 /// fidelity estimation: every request against the same device sees the
@@ -36,28 +35,6 @@ pub fn mapper_by_name(name: &str) -> Option<Arc<dyn Mapper + Send + Sync>> {
 /// Mapper names accepted by [`mapper_by_name`] (for error messages).
 pub const MAPPER_NAMES: [&str; 5] = ["sabre", "qmap", "cirq", "tket", "qlosure"];
 
-/// Resolves a device by name through a process-wide memo, so every
-/// request against the same backend shares one adjacency/neighbor
-/// allocation (the distance matrix is shared separately through
-/// `CouplingGraph::shared_distances`).
-pub fn shared_device(name: &str) -> Option<Arc<CouplingGraph>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, Arc<CouplingGraph>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(Default::default);
-    if let Some(hit) = memo.lock().expect("device memo poisoned").get(name) {
-        return Some(hit.clone());
-    }
-    // Build outside the lock; concurrent duplicate builds are cheap and
-    // the entry API keeps the first insertion.
-    let built = Arc::new(backends::by_name(name)?);
-    Some(
-        memo.lock()
-            .expect("device memo poisoned")
-            .entry(name.to_string())
-            .or_insert(built)
-            .clone(),
-    )
-}
-
 /// Decodes a submit request into a [`JobSpec`].
 ///
 /// The `strategy` picks the mapping architecture: `Flat` runs the named
@@ -80,7 +57,7 @@ pub fn decode_submit(
     fidelity: bool,
     strategy: Strategy,
 ) -> Result<JobSpec, (ErrorCode, String)> {
-    let device = shared_device(backend).ok_or_else(|| {
+    let device = backends::shared_by_name(backend).ok_or_else(|| {
         (
             ErrorCode::UnknownBackend,
             format!("no backend named `{backend}`"),
@@ -259,9 +236,19 @@ mod tests {
 
     #[test]
     fn shared_device_memoizes_per_name() {
-        let a = shared_device("king9").unwrap();
-        let b = shared_device("king9").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(shared_device("not-a-device").is_none());
+        // Submissions against one backend share its device allocation.
+        let decode = || {
+            decode_submit(
+                "king9",
+                "qlosure",
+                GHZ,
+                Priority::Batch,
+                false,
+                Strategy::Flat,
+            )
+            .unwrap()
+            .device
+        };
+        assert!(Arc::ptr_eq(&decode(), &decode()));
     }
 }

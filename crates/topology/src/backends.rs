@@ -1,7 +1,9 @@
 //! The hardware back-ends of the Qlosure evaluation, plus generic lattice
 //! generators for tests and workload synthesis.
 
+use crate::cache::ContentCache;
 use crate::graph::CouplingGraph;
+use std::sync::{Arc, OnceLock};
 
 /// IBM Sherbrooke: the 127-qubit heavy-hexagon (Eagle r3) lattice.
 ///
@@ -311,9 +313,55 @@ pub fn by_name(name: &str) -> Option<CouplingGraph> {
     }
 }
 
+/// Distinct names [`shared_by_name`] keeps. Names arrive in service
+/// requests, so the memo is bounded: a stream of distinct parametric
+/// names evicts the oldest device instead of growing. The evaluation
+/// roster has 7 back-ends, so 32 never evicts in practice.
+const SHARED_CAPACITY: usize = 32;
+
+/// Name → device memo: the resolved device, or `None` for a name
+/// [`by_name`] rejects.
+type DeviceMemo = ContentCache<String, Option<Arc<CouplingGraph>>>;
+
+/// [`by_name`] through a process-wide, bounded memo, so every caller
+/// resolving the same name shares one device allocation (adjacency and
+/// neighbor tables) while the name stays in the memo. Each distinct name
+/// is built once, even under concurrent lookups; an evicted name is
+/// rebuilt on its next lookup. The device's distance matrix is shared
+/// separately, through [`CouplingGraph::shared_distances`].
+pub fn shared_by_name(name: &str) -> Option<Arc<CouplingGraph>> {
+    static MEMO: OnceLock<DeviceMemo> = OnceLock::new();
+    resolve(
+        MEMO.get_or_init(|| ContentCache::new(SHARED_CAPACITY)),
+        name,
+    )
+}
+
+fn resolve(memo: &DeviceMemo, name: &str) -> Option<Arc<CouplingGraph>> {
+    Option::clone(&memo.get_or_compute(&name.to_string(), || by_name(name).map(Arc::new)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shared_memo_rebuilds_the_oldest_name_past_its_bound() {
+        let memo = DeviceMemo::new(SHARED_CAPACITY);
+        let first = resolve(&memo, "line:2").expect("line:2 resolves");
+        let again = resolve(&memo, "line:2").expect("line:2 resolves");
+        assert!(Arc::ptr_eq(&first, &again), "a kept name is shared");
+        for n in 3..3 + SHARED_CAPACITY {
+            assert!(resolve(&memo, &format!("line:{n}")).is_some());
+        }
+        // SHARED_CAPACITY newer names pushed the first one out: it is
+        // rebuilt, not kept.
+        let rebuilt = resolve(&memo, "line:2").expect("line:2 resolves");
+        assert!(!Arc::ptr_eq(&first, &rebuilt));
+        assert_eq!(*first, *rebuilt);
+        assert_eq!(memo.stats(), (1, SHARED_CAPACITY as u64 + 2));
+        assert!(resolve(&memo, "not-a-device").is_none());
+    }
 
     #[test]
     fn sherbrooke_matches_eagle_lattice() {

@@ -32,8 +32,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 const CAPACITY: usize = 32;
 
 /// A bounded, content-keyed, single-computation cache: the one
-/// implementation behind both the hop-count distance cache and the
-/// reliability-weighted distance cache, so their locking, eviction and
+/// implementation behind the hop-count distance cache, the
+/// reliability-weighted distance cache and the name → device memo
+/// ([`crate::backends::shared_by_name`]), so their locking, eviction and
 /// counter semantics can never drift apart.
 ///
 /// Entries are keyed by full content (the invalidation rule: nothing is

@@ -222,19 +222,12 @@ pub fn current_ctx() -> Ctx {
 }
 
 /// Installs `ctx` on the calling thread until the returned guard drops
-/// (the previous context is restored).
+/// (the previous context is restored). Installing [`Ctx::default`]
+/// disables tracing on the thread for the guard's lifetime.
 #[must_use = "dropping the guard immediately uninstalls the context"]
 pub fn set_ctx(ctx: &Ctx) -> CtxGuard {
     let prev = CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), ctx.clone()));
     CtxGuard { prev: Some(prev) }
-}
-
-/// Disables tracing on the calling thread until the returned guard drops
-/// — used around work fanned out speculatively (hier plan prefetch) whose
-/// spans would be noise.
-#[must_use = "dropping the guard immediately re-enables tracing"]
-pub fn suppress() -> CtxGuard {
-    set_ctx(&Ctx::default())
 }
 
 /// Restores the previously installed context on drop.
@@ -435,7 +428,7 @@ mod tests {
         let ctx = Ctx::new(tracer.clone(), ROOT_SPAN);
         let _g = set_ctx(&ctx);
         {
-            let _quiet = suppress();
+            let _quiet = set_ctx(&Ctx::default());
             assert!(!current_ctx().enabled());
             drop(span("invisible"));
         }

@@ -982,22 +982,15 @@ fn engine_batches_match_the_frozen_reference_at_1_and_4_threads() {
 }
 
 #[test]
-fn hier_fragment_prefetch_matches_sequential_at_1_and_4_threads() {
-    // Intra-job parallelism: the hier router's speculative fragment
-    // prefetch only warms the content-keyed plan memo — replay always
+fn hier_shared_memo_matches_sequential_at_1_and_4_threads() {
+    // Batch workers race on the process-wide hier plan memo: whichever
+    // worker computes a plan first, the others reuse it. Replay always
     // looks plans up by their true key, and a plan is a pure function of
-    // that key. So at every thread count (batch-level workers × in-job
-    // prefetch workers) the routed bytes must equal the 1-thread run,
-    // which skips speculation entirely and is pure sequential replay.
+    // that key, so at every worker count the routed bytes must equal a
+    // plain sequential run.
     let device = Arc::new(backends::square_grid(8, 8));
     let gen_device = backends::square_grid(8, 8);
-    let mk_mapper = |threads: usize| {
-        hier::HierMapper::with_config(hier::HierConfig {
-            budget: Some(16),
-            threads: Some(threads),
-            ..hier::HierConfig::default()
-        })
-    };
+    let mapper = hier::HierMapper::with_budget(16);
     let mut circuits = Vec::new();
     for depth in [20, 40] {
         for seed in 0..2u64 {
@@ -1009,7 +1002,7 @@ fn hier_fragment_prefetch_matches_sequential_at_1_and_4_threads() {
     }
     let expected: Vec<_> = circuits
         .iter()
-        .map(|(_, c)| mk_mapper(1).map(c, &device))
+        .map(|(_, c)| mapper.map(c, &device))
         .collect();
     for threads in [1usize, 4] {
         let jobs: Vec<MapJob> = circuits
@@ -1018,7 +1011,7 @@ fn hier_fragment_prefetch_matches_sequential_at_1_and_4_threads() {
                 label: label.clone(),
                 circuit: circuit.clone(),
                 device: device.clone(),
-                mapper: Arc::new(mk_mapper(threads)),
+                mapper: Arc::new(mapper.clone()),
             })
             .collect();
         let report = BatchEngine::with_threads(threads).run_jobs(jobs);

@@ -9,10 +9,11 @@
 //! * `cargo test --test properties smoke_` runs only the fixed-input
 //!   smoke subset at the bottom of this file.
 
-use circuit::{verify_routing, Circuit, DependenceGraph};
+use circuit::{verify_routing, Circuit, DependenceGraph, GateKind};
 use presburger::{BasicSet, Constraint, LinearExpr, Set};
 use proptest::prelude::*;
 use qlosure::{Layout, Mapper, PipelineError, QlosureMapper, RoutingState};
+use std::sync::Arc;
 use topology::{backends, CouplingGraph};
 
 // ---------- Presburger algebra ----------
@@ -323,9 +324,9 @@ fn build_fragment(
         .filter_map(|&(a, b, kind)| {
             let (x, y) = (a % n, b % n);
             match kind {
-                0 if x != y => Some((hier::intern("cx"), vec![x, y], Vec::new())),
-                1 if x != y => Some((hier::intern("cz"), vec![x, y], Vec::new())),
-                2 => Some((hier::intern("h"), vec![x], Vec::new())),
+                0 if x != y => Some((GateKind::Cx, vec![x, y], Vec::new())),
+                1 if x != y => Some((GateKind::Cz, vec![x, y], Vec::new())),
+                2 => Some((GateKind::H, vec![x], Vec::new())),
                 _ => None,
             }
         })
@@ -361,10 +362,10 @@ proptest! {
         // in lockstep) must not change the canonical key — this is the
         // exact property the plan store's cross-request sharing rides on.
         let (edges, gates) = build_fragment(n, &chords, &picks);
-        let base = hier::canonicalize(n, &edges, &gates, hier::intern("prop-cfg"));
+        let base = hier::canonicalize(n, &edges, &gates, Arc::from("prop-cfg"));
         let perm = seeded_permutation(n, seed);
         let (p_edges, p_gates) = permute_fragment(&perm, &edges, &gates);
-        let relabeled = hier::canonicalize(n, &p_edges, &p_gates, hier::intern("prop-cfg"));
+        let relabeled = hier::canonicalize(n, &p_edges, &p_gates, Arc::from("prop-cfg"));
         prop_assert_eq!(&relabeled.key, &base.key);
         // The replay map is always a permutation of the region slots.
         let mut sorted = relabeled.to_local.clone();
@@ -381,9 +382,9 @@ proptest! {
         // The canonical form is a fixed point: re-canonicalizing it
         // returns the same key with an identity replay map.
         let (edges, gates) = build_fragment(n, &chords, &picks);
-        let once = hier::canonicalize(n, &edges, &gates, hier::intern("prop-cfg"));
+        let once = hier::canonicalize(n, &edges, &gates, Arc::from("prop-cfg"));
         let twice =
-            hier::canonicalize(n, &once.key.edges, &once.key.gates, hier::intern("prop-cfg"));
+            hier::canonicalize(n, &once.key.edges, &once.key.gates, Arc::from("prop-cfg"));
         prop_assert_eq!(&once.key, &twice.key);
         prop_assert_eq!(twice.to_local, (0..n).collect::<Vec<u32>>());
     }
@@ -1333,20 +1334,15 @@ fn smoke_hier_canonical_fixed_fragment() {
     // canonical form is the identity.
     let edges = vec![(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5)];
     let gates = vec![
-        (hier::intern("cx"), vec![4, 1], Vec::new()),
-        (hier::intern("h"), vec![5], Vec::new()),
+        (GateKind::Cx, vec![4, 1], Vec::new()),
+        (GateKind::H, vec![5], Vec::new()),
     ];
-    let base = hier::canonicalize(6, &edges, &gates, hier::intern("smoke-cfg"));
+    let base = hier::canonicalize(6, &edges, &gates, Arc::from("smoke-cfg"));
     let perm = [3u32, 5, 1, 0, 4, 2];
     let (p_edges, p_gates) = permute_fragment(&perm, &edges, &gates);
-    let scrambled = hier::canonicalize(6, &p_edges, &p_gates, hier::intern("smoke-cfg"));
+    let scrambled = hier::canonicalize(6, &p_edges, &p_gates, Arc::from("smoke-cfg"));
     assert_eq!(scrambled.key, base.key);
-    let again = hier::canonicalize(
-        6,
-        &base.key.edges,
-        &base.key.gates,
-        hier::intern("smoke-cfg"),
-    );
+    let again = hier::canonicalize(6, &base.key.edges, &base.key.gates, Arc::from("smoke-cfg"));
     assert_eq!(again.key, base.key);
     assert_eq!(again.to_local, (0..6).collect::<Vec<u32>>());
 }
