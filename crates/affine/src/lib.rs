@@ -15,10 +15,16 @@
 //!    weight `ω(g) = card{ h | (g,h) ∈ R⁺ }` (Eq. 1), with `card` provided
 //!    by the exact point counter (the Barvinok substitute).
 //!
-//! Irregular circuits that defeat the affine representation (poor
-//! compression, inexact closure) automatically fall back to exact bitset
-//! reachability on the concrete dependence DAG — the same semantics, and
-//! the oracle the affine path is cross-validated against in tests.
+//! [`WeightMode::Auto`] picks the engine by cost. Below
+//! [`AFFINE_MIN_INTERACTIONS`] two-qubit interactions it skips lifting
+//! and closure and computes ω by exact bitset reachability on the concrete
+//! dependence DAG, which is cheaper there. At or above it, circuits that
+//! lift well (compression ≥ 4, at most 256 statements, at most 512
+//! dependence disjuncts) take the affine path; the rest take the graph
+//! path. An affine result whose closure is inexact is a sound
+//! over-approximation ([`WeightPath::AffineOverApproximate`]), not a
+//! fallback. The graph path is the oracle the affine path is
+//! cross-validated against in tests.
 //!
 //! In the mapping stack, [`DependenceAnalysis`] is the typed artifact the
 //! `qlosure` crate's `DependenceWeightsPass` produces for the pass
@@ -51,4 +57,4 @@ mod weights;
 
 pub use deps::dependence_map;
 pub use lift::{lift_interactions, AffineFn, Interaction, Lifting, MacroGate};
-pub use weights::{DependenceAnalysis, WeightMode, WeightPath};
+pub use weights::{DependenceAnalysis, WeightMode, WeightPath, AFFINE_MIN_INTERACTIONS};

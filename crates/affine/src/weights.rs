@@ -2,15 +2,50 @@
 
 use crate::deps::dependence_map;
 use crate::lift::lift_interactions;
-use circuit::{Circuit, DependenceGraph, Gate};
+use circuit::{Circuit, DependenceGraph};
 use presburger::Set;
+
+/// Two-qubit interaction count below which [`WeightMode::Auto`] computes
+/// ω on the graph path without lifting the circuit.
+///
+/// The graph path computes the paper's Eq. 1 exactly, and below this size
+/// it also costs less than lifting, building `Rdep` and closing it (whose
+/// result may be an over-approximation). The crossover, release build on a
+/// 2-core host, one `WeightMode::Affine` against one `WeightMode::Graph`
+/// analysis per circuit:
+///
+/// | side | circuit | interactions | affine | graph |
+/// |---|---|---|---|---|
+/// | graph wins | ising-1600 | 15,990 | 58 ms | 34 ms |
+/// | graph wins | knn-3201 | 15,998 | 37 ms | 18 ms |
+/// | graph wins | vqe-3200 | 19,200 | 47 ms | 33 ms |
+/// | affine wins | adder-3200 | 25,585 | 80 ms | 94 ms |
+/// | affine wins | ising-3200 | 31,990 | 82 ms | 117 ms |
+/// | affine wins | dnn-3200 | 38,384 | 139 ms | 184 ms |
+///
+/// W-state-3200 has only 6,398 interactions, yet its exact affine closure
+/// takes 1,480 ms against 4.6 ms on the graph path, so it stays below.
+/// Every QASMBench-style circuit at 20–81 qubits has at most 6,832
+/// interactions and takes the graph path.
+///
+/// The graph path timed there built a shadow circuit and swept every gate
+/// with 8,192-bit rows for each column block. Timed as it is now, it
+/// still wins well above this value (adder-4800, 38,385 interactions: 71
+/// against 135 ms; ising-6400, 63,990: 187 against 216 ms) and first
+/// loses at dnn-6400 (76,784: 186 against 158 ms). The value is therefore
+/// conservative: below it `Auto` always takes the cheaper engine, above it
+/// not always.
+pub const AFFINE_MIN_INTERACTIONS: usize = 25_000;
 
 /// Which engine computes the ω weights.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WeightMode {
-    /// Decide per circuit: use the affine path when lifting finds enough
-    /// structure (compression ≥ 4 and few statements), otherwise the graph
-    /// path.
+    /// Decide per circuit by cost. Below [`AFFINE_MIN_INTERACTIONS`]
+    /// two-qubit interactions, use the graph path without lifting. At or
+    /// above it, use the affine path when lifting finds enough structure
+    /// (compression ≥ 4, at most 256 statements, at most 512 dependence
+    /// disjuncts), otherwise the graph path. An affine result may be an
+    /// over-approximation ([`WeightPath::AffineOverApproximate`]).
     #[default]
     Auto,
     /// Force the polyhedral path (lift → `Rdep` → `R⁺` → `card`).
@@ -40,40 +75,34 @@ pub enum WeightPath {
 pub struct DependenceAnalysis {
     weights: Vec<u64>,
     path: WeightPath,
-    compression: f64,
-    n_statements: usize,
 }
 
 impl DependenceAnalysis {
     /// Analyzes `circuit` under the given mode.
     pub fn new(circuit: &Circuit, mode: WeightMode) -> Self {
-        let lifting = lift_interactions(circuit);
-        let compression = lifting.compression();
-        let n_statements = lifting.statements.len();
-        let try_affine = match mode {
-            WeightMode::Affine => true,
-            WeightMode::Graph => false,
-            WeightMode::Auto => compression >= 4.0 && n_statements <= 256,
-        };
-        if try_affine {
-            if let Some((weights, exact)) = affine_weights(circuit, &lifting) {
-                return DependenceAnalysis {
-                    weights,
-                    path: if exact {
-                        WeightPath::AffineExact
-                    } else {
-                        WeightPath::AffineOverApproximate
-                    },
-                    compression,
-                    n_statements,
-                };
+        let affine = match mode {
+            WeightMode::Graph => None,
+            WeightMode::Affine => affine_weights(circuit, &lift_interactions(circuit)),
+            WeightMode::Auto if circuit.two_qubit_count() < AFFINE_MIN_INTERACTIONS => None,
+            WeightMode::Auto => {
+                let lifting = lift_interactions(circuit);
+                let regular = lifting.compression() >= 4.0 && lifting.statements.len() <= 256;
+                regular.then(|| affine_weights(circuit, &lifting)).flatten()
             }
-        }
-        DependenceAnalysis {
-            weights: graph_weights(circuit),
-            path: WeightPath::Graph,
-            compression,
-            n_statements,
+        };
+        match affine {
+            Some((weights, exact)) => DependenceAnalysis {
+                weights,
+                path: if exact {
+                    WeightPath::AffineExact
+                } else {
+                    WeightPath::AffineOverApproximate
+                },
+            },
+            None => DependenceAnalysis {
+                weights: graph_weights(circuit),
+                path: WeightPath::Graph,
+            },
         }
     }
 
@@ -92,16 +121,6 @@ impl DependenceAnalysis {
         self.path
     }
 
-    /// Lifting compression ratio (interactions per macro-gate).
-    pub fn compression(&self) -> f64 {
-        self.compression
-    }
-
-    /// Number of macro-gates the lifter produced.
-    pub fn n_statements(&self) -> usize {
-        self.n_statements
-    }
-
     /// Total weight mass `Σ ω(g)` — a cheap integrity metric for reports
     /// (two analyses of the same circuit with the same mode always agree).
     pub fn total_weight(&self) -> u64 {
@@ -109,20 +128,14 @@ impl DependenceAnalysis {
     }
 
     /// One-line artifact summary for pass-pipeline reports: which engine
-    /// produced the weights, the lifting compression, statement count and
-    /// total weight mass.
+    /// produced the weights and the total weight mass.
     pub fn describe(&self) -> String {
         let path = match self.path {
             WeightPath::AffineExact => "affine-exact",
             WeightPath::AffineOverApproximate => "affine-overapprox",
             WeightPath::Graph => "graph",
         };
-        format!(
-            "weights[{path}] compression={:.1} statements={} Σω={}",
-            self.compression,
-            self.n_statements,
-            self.total_weight()
-        )
+        format!("weights[{path}] Σω={}", self.total_weight())
     }
 }
 
@@ -145,19 +158,10 @@ fn affine_weights(circuit: &Circuit, lifting: &crate::lift::Lifting) -> Option<(
 /// The concrete path: bitset reachability over the two-qubit interaction
 /// DAG.
 fn graph_weights(circuit: &Circuit) -> Vec<u64> {
-    // Build a shadow circuit holding only the two-qubit gates so that the
-    // DAG's transitive counts line up with interaction indices.
-    let mut shadow = Circuit::new(circuit.n_qubits());
-    let mut gate_of: Vec<u32> = Vec::new();
-    for (gate, a, b) in circuit.interactions() {
-        shadow.push(Gate::two_q(circuit.gates()[gate].kind.clone(), a, b));
-        gate_of.push(gate as u32);
-    }
-    let dag = DependenceGraph::new(&shadow);
-    let counts = dag.transitive_successor_counts();
+    let counts = DependenceGraph::of_interactions(circuit).transitive_successor_counts();
     let mut weights = vec![0u64; circuit.gates().len()];
-    for (i, &gate) in gate_of.iter().enumerate() {
-        weights[gate as usize] = counts[i];
+    for ((gate, _, _), count) in circuit.interactions().zip(counts) {
+        weights[gate] = count;
     }
     weights
 }
@@ -237,11 +241,30 @@ mod tests {
     }
 
     #[test]
+    fn auto_mode_switches_engines_at_the_crossover() {
+        // One interaction short of the constant, even a perfectly regular
+        // chain skips lifting and takes the exact graph path.
+        let below = chain(AFFINE_MIN_INTERACTIONS as u32 - 1);
+        let a = DependenceAnalysis::new(&below, WeightMode::Auto);
+        assert_eq!(a.path(), WeightPath::Graph);
+        assert_eq!(lift_interactions(&below).statements.len(), 1);
+        // At the constant, the same chain lifts and takes an affine path.
+        let at = chain(AFFINE_MIN_INTERACTIONS as u32);
+        let a = DependenceAnalysis::new(&at, WeightMode::Auto);
+        assert!(matches!(
+            a.path(),
+            WeightPath::AffineExact | WeightPath::AffineOverApproximate
+        ));
+        assert_eq!(a.weight(0), AFFINE_MIN_INTERACTIONS as u64 - 1);
+    }
+
+    #[test]
     fn auto_mode_picks_graph_for_irregular() {
-        // Pseudo-random interactions: compression stays low.
+        // Pseudo-random interactions at the crossover: compression stays
+        // low, so the lifting rule rejects the affine path.
         let mut c = Circuit::new(16);
         let mut s = 1u64;
-        for _ in 0..60 {
+        while c.gates().len() < AFFINE_MIN_INTERACTIONS {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -253,19 +276,20 @@ mod tests {
         }
         let a = DependenceAnalysis::new(&c, WeightMode::Auto);
         assert_eq!(a.path(), WeightPath::Graph);
-        assert!(a.compression() < 4.0);
+        assert!(lift_interactions(&c).compression() < 4.0);
     }
 
     #[test]
-    fn auto_mode_picks_affine_for_regular() {
-        let c = chain(40);
-        let a = DependenceAnalysis::new(&c, WeightMode::Auto);
-        assert!(matches!(
-            a.path(),
-            WeightPath::AffineExact | WeightPath::AffineOverApproximate
-        ));
-        assert!(a.compression() >= 4.0);
-        assert_eq!(a.n_statements(), 1);
+    fn auto_mode_is_exact_on_the_qasmbench_suite() {
+        let suite = qasmbench::suite();
+        assert_eq!(suite.len(), 41);
+        for entry in suite {
+            let c = entry.build();
+            let auto = DependenceAnalysis::new(&c, WeightMode::Auto);
+            assert_eq!(auto.path(), WeightPath::Graph, "{}", entry.name);
+            let graph = DependenceAnalysis::new(&c, WeightMode::Graph);
+            assert_eq!(auto.weights(), graph.weights(), "{}", entry.name);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Benchmarks of the QRANE-style lifting and ω-weight computation: the
-//! polyhedral path vs. the concrete graph fallback (§IV).
+//! polyhedral path vs. the concrete graph path (§IV), and the engine
+//! `WeightMode::Auto` picks for suite-sized circuits.
 
 use affine::{lift_interactions, DependenceAnalysis, WeightMode};
 use circuit::Circuit;
@@ -56,6 +57,18 @@ fn bench_weights(c: &mut Criterion) {
     let rand = random_circuit(54, 8000);
     c.bench_function("weights_graph_random_8000", |b| {
         b.iter(|| black_box(DependenceAnalysis::new(&rand, WeightMode::Graph)))
+    });
+    // Suite-sized circuits under the default mode: both sit far below
+    // `AFFINE_MIN_INTERACTIONS`, so `Auto` takes the graph path without
+    // lifting. On the affine path, W-state's exact closure and QFT's
+    // thousands of dependence disjuncts cost 100–200 ms per call.
+    let wstate = qasmbench::w_state(60);
+    c.bench_function("weights_auto_wstate_60", |b| {
+        b.iter(|| black_box(DependenceAnalysis::new(&wstate, WeightMode::Auto)))
+    });
+    let qft = qasmbench::qft(63);
+    c.bench_function("weights_auto_qft_63", |b| {
+        b.iter(|| black_box(DependenceAnalysis::new(&qft, WeightMode::Auto)))
     });
 }
 

@@ -1,6 +1,7 @@
 //! The per-gate dependence DAG and transitive-successor counts.
 
 use crate::circuit::Circuit;
+use crate::gate::Gate;
 
 /// The dependence graph of a circuit: one node per gate, one edge for each
 /// pair of *consecutive* uses of a qubit (the covering relation of the
@@ -11,8 +12,13 @@ use crate::circuit::Circuit;
 /// a topological order of this DAG by construction.
 #[derive(Clone, Debug)]
 pub struct DependenceGraph {
-    preds: Vec<Vec<u32>>,
-    succs: Vec<Vec<u32>>,
+    /// Predecessors of gate `g`: `pred_list[pred_start[g]..pred_start[g + 1]]`.
+    pred_start: Vec<u32>,
+    pred_list: Vec<u32>,
+    /// Successors of gate `g`, in increasing gate order, laid out the same
+    /// way.
+    succ_start: Vec<u32>,
+    succ_list: Vec<u32>,
 }
 
 impl DependenceGraph {
@@ -21,49 +27,85 @@ impl DependenceGraph {
     /// Barriers participate as ordering nodes (they sequence their operand
     /// qubits) even though they are never routed.
     pub fn new(circuit: &Circuit) -> Self {
-        let n = circuit.gates().len();
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut last_use: Vec<Option<u32>> = vec![None; circuit.n_qubits()];
-        for (i, gate) in circuit.gates().iter().enumerate() {
-            let i = i as u32;
+        Self::build(circuit.n_qubits(), circuit.gates())
+    }
+
+    /// Builds the dependence DAG of the two-qubit gates of `circuit` alone:
+    /// node `t` is its `t`-th interaction (the order of
+    /// [`Circuit::interactions`]), and every other gate is left out.
+    pub fn of_interactions(circuit: &Circuit) -> Self {
+        let gates = circuit.gates().iter().filter(|g| g.is_two_qubit());
+        Self::build(circuit.n_qubits(), gates)
+    }
+
+    fn build<'a>(n_qubits: usize, gates: impl IntoIterator<Item = &'a Gate>) -> Self {
+        let mut pred_start = vec![0u32];
+        let mut pred_list: Vec<u32> = Vec::new();
+        let mut last_use: Vec<Option<u32>> = vec![None; n_qubits];
+        for (i, gate) in gates.into_iter().enumerate() {
+            let first = pred_list.len();
             for &q in &gate.qubits {
                 if let Some(prev) = last_use[q as usize] {
-                    if !preds[i as usize].contains(&prev) {
-                        preds[i as usize].push(prev);
-                        succs[prev as usize].push(i);
+                    if !pred_list[first..].contains(&prev) {
+                        pred_list.push(prev);
                     }
                 }
-                last_use[q as usize] = Some(i);
+                last_use[q as usize] = Some(i as u32);
+            }
+            pred_start.push(pred_list.len() as u32);
+        }
+        let n = pred_start.len() - 1;
+        // Transpose: count each gate's successors, then fill them in gate
+        // order.
+        let mut succ_start = vec![0u32; n + 1];
+        for &p in &pred_list {
+            succ_start[p as usize + 1] += 1;
+        }
+        for g in 0..n {
+            succ_start[g + 1] += succ_start[g];
+        }
+        let mut next = succ_start.clone();
+        let mut succ_list = vec![0u32; pred_list.len()];
+        for g in 0..n {
+            for &p in &pred_list[pred_start[g] as usize..pred_start[g + 1] as usize] {
+                succ_list[next[p as usize] as usize] = g as u32;
+                next[p as usize] += 1;
             }
         }
-        DependenceGraph { preds, succs }
+        DependenceGraph {
+            pred_start,
+            pred_list,
+            succ_start,
+            succ_list,
+        }
     }
 
     /// Number of nodes (gates).
     pub fn n_gates(&self) -> usize {
-        self.preds.len()
+        self.pred_start.len() - 1
     }
 
     /// Immediate predecessors of gate `g`.
     pub fn preds(&self, g: u32) -> &[u32] {
-        &self.preds[g as usize]
+        let g = g as usize;
+        &self.pred_list[self.pred_start[g] as usize..self.pred_start[g + 1] as usize]
     }
 
     /// Immediate successors of gate `g`.
     pub fn succs(&self, g: u32) -> &[u32] {
-        &self.succs[g as usize]
+        let g = g as usize;
+        &self.succ_list[self.succ_start[g] as usize..self.succ_start[g + 1] as usize]
     }
 
     /// In-degree of every gate (predecessor count).
     pub fn in_degrees(&self) -> Vec<u32> {
-        self.preds.iter().map(|p| p.len() as u32).collect()
+        self.pred_start.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Gates with no predecessors — the initial front layer `Lf`.
     pub fn initial_front(&self) -> Vec<u32> {
         (0..self.n_gates() as u32)
-            .filter(|&g| self.preds[g as usize].is_empty())
+            .filter(|&g| self.preds(g).is_empty())
             .collect()
     }
 
@@ -73,7 +115,7 @@ impl DependenceGraph {
         let n = self.n_gates();
         let mut level = vec![0u32; n];
         for g in 0..n {
-            for &p in &self.preds[g] {
+            for &p in self.preds(g as u32) {
                 level[g] = level[g].max(level[p as usize] + 1);
             }
         }
@@ -84,39 +126,42 @@ impl DependenceGraph {
     /// dependence weight `ω(g) = card{ h : (g, h) ∈ R⁺ }` (Eq. 1).
     ///
     /// Computed by bitset reachability over the reverse topological order,
-    /// processed in column blocks so memory stays `O(n · block)` instead of
-    /// `O(n²)` bits.
+    /// processed in column blocks of at most 8,192 gates so memory stays
+    /// `O(n · block)` instead of `O(n²)` bits. Each row holds one bit per
+    /// gate of the block, so a circuit smaller than a block pays only for
+    /// its own size.
     pub fn transitive_successor_counts(&self) -> Vec<u64> {
         const BLOCK_BITS: usize = 8192;
-        const WORDS: usize = BLOCK_BITS / 64;
         let n = self.n_gates();
+        let words = n.min(BLOCK_BITS).div_ceil(64);
         let mut counts = vec![0u64; n];
-        if n == 0 {
-            return counts;
-        }
-        let mut rows: Vec<[u64; WORDS]> = Vec::new();
+        let mut rows = vec![0u64; n * words];
         for block_start in (0..n).step_by(BLOCK_BITS) {
             let block_end = (block_start + BLOCK_BITS).min(n);
-            rows.clear();
-            rows.resize(n, [0u64; WORDS]);
-            for g in (0..n).rev() {
-                // Union the successor rows, then set the successor bits
-                // that fall inside the current column block.
-                // Work around simultaneous borrow with a split copy.
-                let mut acc = [0u64; WORDS];
-                for &s in &self.succs[g] {
+            // Successors follow their gate in program order, so a gate at
+            // or past `block_end` reaches nothing inside the block: its
+            // row is never computed for this block, and never read.
+            for g in (0..block_end).rev() {
+                // Union the successor rows, which all lie after row `g`,
+                // then set the successor bits inside the current block.
+                let (head, later) = rows.split_at_mut((g + 1) * words);
+                let row = &mut head[g * words..];
+                row.fill(0);
+                for &s in self.succs(g as u32) {
                     let s = s as usize;
-                    let row = &rows[s];
-                    for w in 0..WORDS {
-                        acc[w] |= row[w];
+                    if s >= block_end {
+                        continue;
                     }
-                    if (block_start..block_end).contains(&s) {
+                    let at = (s - g - 1) * words;
+                    for (a, r) in row.iter_mut().zip(&later[at..at + words]) {
+                        *a |= r;
+                    }
+                    if s >= block_start {
                         let bit = s - block_start;
-                        acc[bit / 64] |= 1u64 << (bit % 64);
+                        row[bit / 64] |= 1u64 << (bit % 64);
                     }
                 }
-                counts[g] += acc.iter().map(|w| w.count_ones() as u64).sum::<u64>();
-                rows[g] = acc;
+                counts[g] += row.iter().map(|w| w.count_ones() as u64).sum::<u64>();
             }
         }
         counts
@@ -131,7 +176,7 @@ impl DependenceGraph {
         let mut stack = vec![g];
         let mut out = Vec::new();
         while let Some(cur) = stack.pop() {
-            for &s in &self.succs[cur as usize] {
+            for &s in self.succs(cur) {
                 if !seen[s as usize] {
                     seen[s as usize] = true;
                     out.push(s);
@@ -236,6 +281,24 @@ mod tests {
         let dag = DependenceGraph::new(&c);
         let counts = dag.transitive_successor_counts();
         for g in (0..dag.n_gates() as u32).step_by(17) {
+            assert_eq!(counts[g as usize], dag.reachable_from(g).len() as u64);
+        }
+    }
+
+    #[test]
+    fn counts_span_more_than_one_column_block() {
+        // 8,300 gates cross the 8,192-gate column block: the counts of the
+        // first gates sum bits from both blocks.
+        let n = 8_300u32;
+        let mut c = Circuit::new(n as usize + 1);
+        for i in 0..n {
+            c.cx(i, i + 1);
+        }
+        let dag = DependenceGraph::new(&c);
+        let counts = dag.transitive_successor_counts();
+        let expected: Vec<u64> = (0..n as u64).map(|i| n as u64 - 1 - i).collect();
+        assert_eq!(counts, expected);
+        for g in [0, 1, 107, 8_191, 8_192, 8_299] {
             assert_eq!(counts[g as usize], dag.reachable_from(g).len() as u64);
         }
     }

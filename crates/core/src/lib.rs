@@ -6,8 +6,8 @@
 //! choosing each SWAP with a cost function driven by **transitive
 //! dependence weights**: the number of downstream gates each look-ahead
 //! gate transitively blocks, computed from a polyhedral (Presburger)
-//! encoding of the circuit with a graph fallback (see the [`affine`]
-//! crate).
+//! encoding of the circuit or, where that costs less, by exact graph
+//! reachability (see the [`affine`] crate).
 //!
 //! The crate is organized as a **staged pass pipeline** (see the [`pass`]
 //! module): every mapper — Qlosure here, the four baselines in the

@@ -53,7 +53,11 @@ pub struct QlosureConfig {
     /// Weight of look-ahead layers `ℓ >= 2` relative to the front layer
     /// (`1.0` = Eq. 2 verbatim; see [`SwapCost::with_scaling`]).
     pub future_weight: f64,
-    /// How the ω weights are computed (affine closure vs. graph).
+    /// How the ω weights are computed (affine closure vs. graph). The
+    /// default, [`WeightMode::Auto`], chooses by cost: below
+    /// [`affine::AFFINE_MIN_INTERACTIONS`] two-qubit interactions it takes
+    /// the exact graph path without lifting; above it, circuits that lift
+    /// well take the affine path.
     pub weight_mode: WeightMode,
     /// Initial mapping strategy.
     pub initial: InitialMapping,

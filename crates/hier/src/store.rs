@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// Store format version stamped into every record. Readers skip
 /// records from other versions (forward and backward) instead of
 /// guessing at their layout.
-pub const STORE_VERSION: u32 = 2;
+pub const STORE_VERSION: u32 = 3;
 
 /// Record magic: `QPSR` in little-endian byte order.
 const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"QPSR");

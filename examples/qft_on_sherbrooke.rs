@@ -31,6 +31,9 @@ fn main() {
         lifting.statements.len(),
         lifting.compression()
     );
+    // QFT-63 sits far below `affine::AFFINE_MIN_INTERACTIONS`, where exact
+    // graph reachability costs less than closing the lifted relation, so
+    // `Auto` takes the graph path without lifting.
     let analysis = DependenceAnalysis::new(&circuit, WeightMode::Auto);
     println!(
         "dependence weights via {:?}; heaviest gate blocks {} downstream gates",

@@ -127,8 +127,35 @@ fn arb_circuit(n_qubits: u32, max_gates: usize) -> impl Strategy<Value = Circuit
     })
 }
 
+/// Random circuit of regular CX sweeps, each followed by a stray
+/// one-qubit gate: shapes that lift into few, long statements.
+fn arb_sweep_circuit(n_qubits: u32) -> impl Strategy<Value = Circuit> {
+    let run = (0..n_qubits, 1..n_qubits, 2u32..24, 0..n_qubits);
+    prop::collection::vec(run, 1..8).prop_map(move |runs| {
+        let mut c = Circuit::new(n_qubits as usize);
+        for (start, step, len, stray) in runs {
+            for i in 0..len {
+                let a = (start + step * i) % n_qubits;
+                c.cx(a, (a + 1) % n_qubits);
+            }
+            c.h(stray);
+        }
+        c
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48).with_seed(0x0051_EC05_DE05_0E57))]
+
+    #[test]
+    fn auto_weights_equal_graph_weights_below_the_crossover(c in arb_sweep_circuit(12)) {
+        use affine::{DependenceAnalysis, WeightMode, WeightPath, AFFINE_MIN_INTERACTIONS};
+        prop_assert!(c.two_qubit_count() < AFFINE_MIN_INTERACTIONS);
+        let auto = DependenceAnalysis::new(&c, WeightMode::Auto);
+        let graph = DependenceAnalysis::new(&c, WeightMode::Graph);
+        prop_assert_eq!(auto.path(), WeightPath::Graph);
+        prop_assert_eq!(auto.weights(), graph.weights());
+    }
 
     #[test]
     fn affine_weights_dominate_graph_weights(c in arb_circuit(8, 40)) {
@@ -1174,6 +1201,23 @@ fn smoke_affine_weights_dominate_fixed_circuit() {
     let affine = DependenceAnalysis::new(&c, WeightMode::Affine);
     for g in 0..c.gates().len() as u32 {
         assert!(affine.weight(g) >= graph.weight(g));
+    }
+}
+
+#[test]
+fn smoke_auto_weights_equal_graph_weights_below_the_crossover() {
+    use affine::{DependenceAnalysis, WeightMode, WeightPath};
+    let mut chain = Circuit::new(41);
+    for i in 0..40 {
+        chain.cx(i, i + 1);
+    }
+    for c in [chain, qasmbench::qft(8), qasmbench::w_state(12)] {
+        let auto = DependenceAnalysis::new(&c, WeightMode::Auto);
+        assert_eq!(auto.path(), WeightPath::Graph);
+        assert_eq!(
+            auto.weights(),
+            DependenceAnalysis::new(&c, WeightMode::Graph).weights()
+        );
     }
 }
 
