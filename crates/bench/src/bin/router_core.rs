@@ -14,11 +14,18 @@
 //! (~172 s on the same instance) is a build failure, not a slow run.
 
 use bench_support::report::JsonJobRow;
-use bench_support::{run_verified, shared_backend, Scale, FLAT_COLD_1024Q_BUDGET_SECONDS};
+use bench_support::{run_verified, shared_backend, Scale};
 use hier::HierMapper;
 use qlosure::{Mapper, QlosureMapper};
 use queko::QuekoSpec;
 use std::time::Instant;
+
+/// Committed wall-time budget for the 1024-qubit flat cold map. The
+/// pre-rewrite router took ~172 s on the CI machine class; the rewritten
+/// core runs the same instance in ~11-15 s, so this bound holds a ~2×
+/// margin against machine jitter while still failing on any return of
+/// the quadratic scans.
+const FLAT_COLD_1024Q_BUDGET_SECONDS: f64 = 30.0;
 
 fn mapper_for(name: &str) -> Box<dyn Mapper + Send + Sync> {
     match name {

@@ -16,5 +16,5 @@ pub mod runner;
 pub use report::Table;
 pub use runner::{
     all_mappers, backend_by_name, engine_batch, mapper_names, run_verified, shared_backend,
-    MapOutcome, PassSeconds, Scale, FLAT_COLD_1024Q_BUDGET_SECONDS,
+    MapOutcome, PassSeconds, Scale,
 };

@@ -16,14 +16,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use topology::{backends, CouplingGraph};
 
-/// Committed wall-time budget for the 1024-qubit flat cold map (the
-/// `router_core` gate, shared by `trace_overhead`'s disabled-path check).
-/// The pre-rewrite router took ~172 s on the CI machine class; the
-/// rewritten core runs the same instance in ~11-15 s, so this bound holds
-/// a ~2× margin against machine jitter while still failing on any return
-/// of the quadratic scans.
-pub const FLAT_COLD_1024Q_BUDGET_SECONDS: f64 = 30.0;
-
 /// Replicate-count presets: `Small` keeps the full pipeline CI-friendly,
 /// `Full` matches the paper (9 depths × 10 seeds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

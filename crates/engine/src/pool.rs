@@ -29,8 +29,8 @@ impl BatchEngine {
         let (from_env, warning) = parse_engine_threads(raw.as_deref());
         if let Some(warning) = warning {
             eprintln!("{warning}");
-            obs::event(
-                obs::Level::Warn,
+            trace::journal::event(
+                trace::journal::Level::Warn,
                 "engine",
                 &warning,
                 &[("var", "ENGINE_THREADS")],

@@ -274,8 +274,8 @@ impl PlanStore {
 
     fn warn(&mut self, warning: StoreWarning) {
         eprintln!("plan store: {warning}");
-        obs::event(
-            obs::Level::Warn,
+        trace::journal::event(
+            trace::journal::Level::Warn,
             "plan-store",
             &warning.to_string(),
             &[("path", &self.path.display().to_string())],

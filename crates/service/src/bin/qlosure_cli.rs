@@ -39,6 +39,7 @@
 use service::proto::{encode_response, Priority, Response, Strategy};
 use service::{Client, ClientError, Endpoint};
 use std::time::Duration;
+use trace::journal::Level;
 
 fn usage() -> ! {
     eprintln!(
@@ -261,11 +262,11 @@ fn main() {
             print!("{}", metrics.render());
         }
         "events" => {
-            let mut min_level = obs::Level::Debug;
+            let mut min_level = Level::Debug;
             let mut follow = false;
             while let Some(flag) = args.next() {
                 match flag.as_str() {
-                    "--level" => match args.next().as_deref().and_then(obs::Level::parse) {
+                    "--level" => match args.next().as_deref().and_then(Level::parse) {
                         Some(level) => min_level = level,
                         None => usage(),
                     },
@@ -343,7 +344,7 @@ fn main() {
             loop {
                 let history = client.metrics_history().unwrap_or_else(|e| fail(&e));
                 let events = client
-                    .events(obs::Level::Warn, cursor)
+                    .events(Level::Warn, cursor)
                     .unwrap_or_else(|e| fail(&e));
                 for event in &events.events {
                     cursor = cursor.max(event.seq);

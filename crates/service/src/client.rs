@@ -10,6 +10,7 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
+use trace::journal::Level;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -311,11 +312,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport, decode and server failures.
-    pub fn events(
-        &mut self,
-        min_level: obs::Level,
-        after_seq: u64,
-    ) -> Result<EventsBody, ClientError> {
+    pub fn events(&mut self, min_level: Level, after_seq: u64) -> Result<EventsBody, ClientError> {
         match self.expect(&Request::Events {
             min_level,
             after_seq,

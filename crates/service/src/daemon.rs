@@ -26,6 +26,7 @@ use std::io::{BufReader, Write};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use trace::journal::{self, Level};
 
 /// Default connection cap: far above any test or CI harness, far below
 /// "a runaway client pinned ten thousand OS threads".
@@ -130,7 +131,7 @@ pub fn run(config: DaemonConfig) -> std::io::Result<StatsBody> {
 fn serve(listener: Listener, config: DaemonConfig) -> std::io::Result<StatsBody> {
     // The journal is inert until a daemon turns it on; one-shot library
     // consumers never pay for it.
-    obs::enable();
+    journal::enable();
     if let Some(dir) = &config.plan_store {
         // Attach the persistent plan tier before any job routes; a
         // damaged store file degrades to warnings at scan time.
@@ -174,8 +175,8 @@ fn handle_connection(
             // Idle past the deadline: same close, but journaled — a
             // client that keeps timing out is worth noticing.
             FrameEvent::IdleTimeout => {
-                obs::event(
-                    obs::Level::Info,
+                journal::event(
+                    Level::Info,
                     "net",
                     "idle connection disconnected",
                     &[("idle_seconds", &format!("{:.1}", idle_limit.as_secs_f64()))],
@@ -209,11 +210,11 @@ fn handle_connection(
 
 /// Snapshots the process-local event journal into a wire body: events
 /// past `after_seq` at `min_level` or above, ages computed against the
-/// journal clock at snapshot time. Shared with the router, which serves
+/// span clock at snapshot time. Shared with the router, which serves
 /// its own journal as one more stream next to its shards'.
-pub(crate) fn journal_window(min_level: obs::Level, after_seq: u64) -> EventsBody {
-    let (dropped, events) = obs::events_since(after_seq, min_level);
-    let now_ns = obs::now_ns();
+pub(crate) fn journal_window(min_level: Level, after_seq: u64) -> EventsBody {
+    let (dropped, events) = journal::events_since(after_seq, min_level);
+    let now_ns = trace::now_ns();
     EventsBody {
         dropped,
         events: events
@@ -222,8 +223,8 @@ pub(crate) fn journal_window(min_level: obs::Level, after_seq: u64) -> EventsBod
                 seq: event.seq,
                 age_seconds: now_ns.saturating_sub(event.at_ns) as f64 * 1e-9,
                 level: event.level,
-                subsystem: event.subsystem.to_string(),
-                message: event.message.to_string(),
+                subsystem: event.subsystem,
+                message: event.message,
                 fields: event.fields,
             })
             .collect(),

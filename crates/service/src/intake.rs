@@ -27,13 +27,14 @@
 //!   everything already admitted, then joins the scheduler, collector and
 //!   worker threads. Dropping the service does the same.
 //!
-//! Two more daemon threads watch the service itself: a **sampler**
-//! snapshots the full metrics body into a bounded history ring every
-//! [`ServiceConfig::obs_sample_seconds`] (served by `metrics-history`),
-//! and a **stall watchdog** flags jobs in flight longer than
-//! [`ServiceConfig::stall_after_seconds`] — a `warn` journal event plus
-//! a flight record (partial span tree + journal tail) in the trace
-//! store, retrievable like any other trace.
+//! One more daemon thread, the **ticker**, watches the service itself.
+//! It keeps two deadlines: every [`ServiceConfig::obs_sample_seconds`]
+//! it snapshots the full metrics body into a bounded history ring
+//! (served by `metrics-history`), and every watchdog tick it flags jobs
+//! in flight longer than [`ServiceConfig::stall_after_seconds`] — a
+//! `warn` journal event plus a flight record (partial span tree +
+//! journal tail) in the trace store, retrievable like any other trace.
+//! With both features off the ticker is not spawned.
 
 use crate::proto::{
     ErrorCode, HistoryBody, MetricsBody, Priority, RatesBody, SampleBody, SeriesBody, StatsBody,
@@ -47,6 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use topology::{CouplingGraph, NoiseModel};
+use trace::journal::{self, Level};
 
 /// Sizing of a [`MappingService`].
 #[derive(Clone, Debug)]
@@ -65,9 +67,9 @@ pub struct ServiceConfig {
     /// Trace-store bound (span trees retained for the `trace` request);
     /// `0` disables retention entirely.
     pub traces_capacity: usize,
-    /// Interval between metrics snapshots taken by the sampler thread
+    /// Interval between metrics snapshots taken by the ticker thread
     /// into the bounded history ring behind the `metrics-history`
-    /// request. Non-positive disables the sampler.
+    /// request. Non-positive disables the sampling.
     pub obs_sample_seconds: f64,
     /// In-flight jobs running longer than this many seconds are flagged
     /// by the stall watchdog: a `warn` journal event plus a flight
@@ -199,6 +201,7 @@ const FLIGHT_RECORD_EVENTS: usize = 8;
 const STALL_SPAN: u64 = u64::MAX;
 
 /// What the watchdog knows about a dispatched-but-unfinished job.
+#[derive(Clone)]
 struct RunningInfo {
     tracer: Arc<trace::Tracer>,
     admitted_ns: u64,
@@ -241,16 +244,39 @@ struct ServiceState {
     closing: bool,
 }
 
+impl ServiceState {
+    /// Stores `kept` (trace ID, spans) as job `id`'s, evicting the oldest
+    /// once the store holds `capacity` (`0` retains nothing). The
+    /// collector and the watchdog both store under a job's ID; whichever
+    /// comes second replaces the entry in place, keeping its slot in the
+    /// eviction order.
+    fn retain_trace(&mut self, capacity: usize, id: u64, kept: (String, Vec<trace::Span>)) {
+        if let Some(entry) = self.traces.get_mut(&id) {
+            *entry = kept;
+            return;
+        }
+        if capacity == 0 {
+            return;
+        }
+        if self.trace_order.len() >= capacity {
+            if let Some(evicted) = self.trace_order.pop_front() {
+                self.traces.remove(&evicted);
+            }
+        }
+        self.traces.insert(id, kept);
+        self.trace_order.push_back(id);
+    }
+}
+
 struct Inner {
     state: Mutex<ServiceState>,
     /// Scheduler wakes here on admission and on shutdown.
     intake_cv: Condvar,
     /// `wait`/`drain` waiters wake here on completions.
     done_cv: Condvar,
-    /// Sampler and watchdog interval waits park here; notified at
-    /// shutdown so both daemon threads exit promptly instead of
-    /// sleeping out their tick.
-    obs_cv: Condvar,
+    /// The ticker parks here between deadlines; notified at shutdown
+    /// so it exits promptly instead of sleeping out its tick.
+    tick_cv: Condvar,
     config: ServiceConfig,
     /// Service start stamp on the shared trace clock — the origin of the
     /// `qlosure_uptime_seconds` gauge.
@@ -268,8 +294,9 @@ pub struct MappingService {
 }
 
 impl MappingService {
-    /// Starts the service: spawns the mapping workers, the scheduler and
-    /// the collector.
+    /// Starts the service: spawns the mapping workers, the scheduler, the
+    /// collector and, unless sampling and the watchdog are both off, the
+    /// ticker.
     pub fn start(config: ServiceConfig) -> MappingService {
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
@@ -293,7 +320,7 @@ impl MappingService {
             }),
             intake_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            obs_cv: Condvar::new(),
+            tick_cv: Condvar::new(),
             config,
             started_ns: trace::now_ns(),
         });
@@ -320,18 +347,22 @@ impl MappingService {
             let (inner, stream) = (inner.clone(), stream.clone());
             std::thread::spawn(move || collector_loop(&inner, &stream))
         };
-        let sampler = {
+        let mut threads = vec![scheduler, collector];
+        let now = Instant::now();
+        let (sample, watch) = (
+            sample_duty(&inner.config, now),
+            watchdog_duty(&inner.config, now),
+        );
+        if sample.is_some() || watch.is_some() {
             let inner = inner.clone();
-            std::thread::spawn(move || sampler_loop(&inner))
-        };
-        let watchdog = {
-            let inner = inner.clone();
-            std::thread::spawn(move || watchdog_loop(&inner))
-        };
+            threads.push(std::thread::spawn(move || {
+                ticker_loop(&inner, sample, watch)
+            }));
+        }
         MappingService {
             inner,
             stream,
-            threads: Mutex::new(vec![scheduler, collector, sampler, watchdog]),
+            threads: Mutex::new(threads),
         }
     }
 
@@ -354,8 +385,8 @@ impl MappingService {
         let depth = state.interactive.len() + state.batch.len();
         if depth >= self.inner.config.queue_capacity {
             state.counters.rejected += 1;
-            obs::event(
-                obs::Level::Warn,
+            journal::event(
+                Level::Warn,
                 "intake",
                 "admission queue full, job rejected",
                 &[
@@ -446,7 +477,7 @@ impl MappingService {
         metrics_of(&self.inner)
     }
 
-    /// The sampler thread's bounded window of metrics snapshots plus
+    /// The ticker's bounded window of metrics snapshots plus
     /// rates computed over it — the single-shard body behind the
     /// `metrics-history` request (the router stacks one series per
     /// shard; a lone daemon reports itself as shard 0).
@@ -492,7 +523,7 @@ impl MappingService {
         self.lock().closing = true;
         self.inner.intake_cv.notify_all();
         self.inner.done_cv.notify_all();
-        self.inner.obs_cv.notify_all();
+        self.inner.tick_cv.notify_all();
     }
 
     /// Graceful shutdown: closes intake, waits for every admitted job to
@@ -596,8 +627,8 @@ fn collector_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
     while let Some((_, (id, outcome, trace_requested, tracer))) = stream.recv() {
         let dropped_spans = tracer.dropped();
         if dropped_spans > 0 {
-            obs::event(
-                obs::Level::Warn,
+            journal::event(
+                Level::Warn,
                 "trace",
                 "span sink overflowed, spans dropped",
                 &[
@@ -636,21 +667,8 @@ fn collector_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
         let slow =
             matches!(&outcome, JobOutcome::Done(s) if s.seconds > inner.config.trace_slow_seconds);
         if (trace_requested || slow) && inner.config.traces_capacity > 0 {
-            if state.trace_order.len() >= inner.config.traces_capacity {
-                if let Some(evicted) = state.trace_order.pop_front() {
-                    state.traces.remove(&evicted);
-                }
-            }
-            let trace_id = format!("{:016x}", tracer.trace_id());
-            // The watchdog may already hold a flight record under this
-            // ID; replacing it must not double-enter the FIFO order.
-            if state
-                .traces
-                .insert(id, (trace_id, tracer.snapshot()))
-                .is_none()
-            {
-                state.trace_order.push_back(id);
-            }
+            let kept = (format!("{:016x}", tracer.trace_id()), tracer.snapshot());
+            state.retain_trace(inner.config.traces_capacity, id, kept);
         }
         if state.result_order.len() >= inner.config.results_capacity {
             if let Some(evicted) = state.result_order.pop_front() {
@@ -667,7 +685,7 @@ fn collector_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
 }
 
 /// [`MappingService::stats`] as a free function over `Inner`, so the
-/// sampler thread (which holds only an `Inner` Arc) can snapshot it.
+/// ticker thread (which holds only an `Inner` Arc) can snapshot it.
 fn stats_of(inner: &Inner) -> StatsBody {
     let state = inner.state.lock().expect("service state poisoned");
     let (distance_hits, distance_misses) = topology::shared_distance_stats();
@@ -699,8 +717,8 @@ fn stats_of(inner: &Inner) -> StatsBody {
 }
 
 /// [`MappingService::metrics`] as a free function over `Inner` — the
-/// same body serves synchronous `metrics` requests and the sampler
-/// thread's periodic history snapshots.
+/// same body serves synchronous `metrics` requests and the ticker's
+/// periodic history snapshots.
 fn metrics_of(inner: &Inner) -> MetricsBody {
     let stats = stats_of(inner);
     let state = inner.state.lock().expect("service state poisoned");
@@ -728,60 +746,83 @@ fn metrics_of(inner: &Inner) -> MetricsBody {
         queue_samples: samples.len() as u64,
         uptime_seconds: trace::now_ns().saturating_sub(inner.started_ns) as f64 * 1e-9,
         jobs_inflight,
-        events_dropped: obs::dropped_total(),
+        events_dropped: journal::dropped_total(),
         trace_drops: trace::drops_total(),
         passes,
     }
 }
 
-/// Parks on `obs_cv` for `timeout`, returning `false` once the service
-/// is closing (shared by the sampler and watchdog interval waits).
-fn obs_wait(inner: &Inner, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    let mut state = inner.state.lock().expect("service state poisoned");
+/// A ticker duty: its interval and next deadline, `None` when off.
+type Duty = Option<(Duration, Instant)>;
+
+/// The sampling duty, first due at `now`; `None` when sampling is off
+/// (a non-positive or non-finite interval). Intervals are capped at
+/// `u32::MAX` seconds, "never" for any real process, so every deadline
+/// stays representable.
+fn sample_duty(config: &ServiceConfig, now: Instant) -> Duty {
+    let secs = config.obs_sample_seconds;
+    (secs > 0.0 && secs.is_finite())
+        .then(|| (Duration::from_secs_f64(secs.min(u32::MAX.into())), now))
+}
+
+/// The watchdog duty, first due one tick after `now`; `None` when the
+/// watchdog is off (a negative or non-finite patience). The tick is a
+/// quarter of the patience, clamped to 50ms..1s, so a stall is flagged
+/// within ~1.25x the configured patience.
+fn watchdog_duty(config: &ServiceConfig, now: Instant) -> Duty {
+    let patience = config.stall_after_seconds;
+    (patience >= 0.0 && patience.is_finite()).then(|| {
+        let tick = Duration::from_secs_f64((patience / 4.0).clamp(0.05, 1.0));
+        (tick, now + tick)
+    })
+}
+
+/// The ticker: runs each duty whose deadline has passed — a history
+/// sample (the first at once, a baseline so rates have a left edge as
+/// soon as the first interval elapses) or a stall scan — then parks on
+/// `tick_cv` until the nearer deadline. Returns once the service is
+/// closing.
+fn ticker_loop(inner: &Inner, mut sample: Duty, mut watch: Duty) {
     loop {
-        if state.closing {
-            return false;
-        }
         let now = Instant::now();
-        if now >= deadline {
-            return true;
+        if let Some((every, next)) = sample.as_mut().filter(|(_, next)| *next <= now) {
+            *next = now + *every;
+            take_sample(inner);
         }
-        let (guard, _) = inner
-            .obs_cv
-            .wait_timeout(state, deadline - now)
-            .expect("service state poisoned");
-        state = guard;
+        if let Some((every, next)) = watch.as_mut().filter(|(_, next)| *next <= now) {
+            *next = now + *every;
+            flag_stalls(inner);
+        }
+        let Some(deadline) = sample.iter().chain(&watch).map(|&(_, next)| next).min() else {
+            return;
+        };
+        let mut state = inner.state.lock().expect("service state poisoned");
+        while !state.closing && Instant::now() < deadline {
+            let left = deadline - Instant::now();
+            state = inner
+                .tick_cv
+                .wait_timeout(state, left)
+                .expect("service state poisoned")
+                .0;
+        }
+        if state.closing {
+            return;
+        }
     }
 }
 
-/// Snapshots the full metrics body into the bounded history ring every
-/// `obs_sample_seconds` (plus one immediate baseline sample, so rates
-/// have a left edge as soon as the first interval elapses).
-fn sampler_loop(inner: &Inner) {
-    let interval = inner.config.obs_sample_seconds;
-    if interval <= 0.0 || !interval.is_finite() {
-        return;
+/// Appends one metrics snapshot to the bounded history ring.
+fn take_sample(inner: &Inner) {
+    let metrics = metrics_of(inner);
+    let mut state = inner.state.lock().expect("service state poisoned");
+    let index = state.next_sample_index;
+    state.next_sample_index += 1;
+    if state.history.len() >= HISTORY_CAPACITY {
+        state.history.pop_front();
     }
-    let interval = Duration::from_secs_f64(interval);
-    loop {
-        let metrics = metrics_of(inner);
-        let mut state = inner.state.lock().expect("service state poisoned");
-        if state.closing {
-            return;
-        }
-        let index = state.next_sample_index;
-        state.next_sample_index += 1;
-        if state.history.len() >= HISTORY_CAPACITY {
-            state.history.pop_front();
-        }
-        let sample = SampleBody::from_metrics(index, &metrics);
-        state.history.push_back(sample);
-        drop(state);
-        if !obs_wait(inner, interval) {
-            return;
-        }
-    }
+    state
+        .history
+        .push_back(SampleBody::from_metrics(index, &metrics));
 }
 
 /// Flags in-flight jobs that exceed `stall_after_seconds`: emits a
@@ -789,69 +830,41 @@ fn sampler_loop(inner: &Inner) {
 /// partial span tree, a synthesized in-flight root, and a
 /// `watchdog:stall` span carrying the journal tail — into the bounded
 /// trace store, retrievable over the wire like any retained trace.
-fn watchdog_loop(inner: &Inner) {
+fn flag_stalls(inner: &Inner) {
     let stall_after = inner.config.stall_after_seconds;
-    if stall_after < 0.0 || !stall_after.is_finite() {
-        return;
-    }
-    // Tick a quarter of the threshold (clamped to 50ms..1s) so a stall
-    // is flagged within ~1.25x the configured patience.
-    let tick = Duration::from_secs_f64((stall_after / 4.0).clamp(0.05, 1.0));
     let stall_ns = (stall_after * 1e9) as u64;
-    loop {
-        if !obs_wait(inner, tick) {
-            return;
+    let now_ns = trace::now_ns();
+    let mut state = inner.state.lock().expect("service state poisoned");
+    // Collect first, flag under the same lock, then report after
+    // releasing it: event emission and snapshotting take other locks.
+    let mut flagged: Vec<(u64, RunningInfo)> = Vec::new();
+    for (&id, info) in state.running.iter_mut() {
+        if !info.stalled && now_ns.saturating_sub(info.admitted_ns) >= stall_ns {
+            info.stalled = true;
+            flagged.push((id, info.clone()));
         }
-        let now_ns = trace::now_ns();
+    }
+    drop(state);
+    for (id, info) in flagged {
+        let running_seconds = now_ns.saturating_sub(info.admitted_ns) as f64 * 1e-9;
+        journal::event(
+            Level::Warn,
+            "watchdog",
+            "job stalled in flight",
+            &[
+                ("job", &id.to_string()),
+                ("mapper", &info.mapper),
+                ("backend", &info.backend),
+                ("running_seconds", &format!("{running_seconds:.3}")),
+                ("stall_after", &format!("{stall_after:.3}")),
+            ],
+        );
+        let kept = (
+            format!("{:016x}", info.tracer.trace_id()),
+            flight_record(&info, now_ns),
+        );
         let mut state = inner.state.lock().expect("service state poisoned");
-        // Collect first, flag under the same lock, then report after
-        // releasing it: event emission and snapshotting take other locks.
-        let mut flagged: Vec<(u64, Arc<trace::Tracer>, u64, String, String)> = Vec::new();
-        for (&id, info) in state.running.iter_mut() {
-            if !info.stalled && now_ns.saturating_sub(info.admitted_ns) >= stall_ns {
-                info.stalled = true;
-                flagged.push((
-                    id,
-                    info.tracer.clone(),
-                    info.admitted_ns,
-                    info.mapper.clone(),
-                    info.backend.clone(),
-                ));
-            }
-        }
-        drop(state);
-        for (id, tracer, admitted_ns, mapper, backend) in flagged {
-            let running_seconds = now_ns.saturating_sub(admitted_ns) as f64 * 1e-9;
-            obs::event(
-                obs::Level::Warn,
-                "watchdog",
-                "job stalled in flight",
-                &[
-                    ("job", &id.to_string()),
-                    ("mapper", &mapper),
-                    ("backend", &backend),
-                    ("running_seconds", &format!("{running_seconds:.3}")),
-                    ("stall_after", &format!("{stall_after:.3}")),
-                ],
-            );
-            let spans = flight_record(&tracer, admitted_ns, now_ns, &mapper, &backend);
-            let trace_id = format!("{:016x}", tracer.trace_id());
-            let mut state = inner.state.lock().expect("service state poisoned");
-            if inner.config.traces_capacity == 0 {
-                continue;
-            }
-            if state.trace_order.len() >= inner.config.traces_capacity {
-                if let Some(evicted) = state.trace_order.pop_front() {
-                    state.traces.remove(&evicted);
-                }
-            }
-            // The collector guards the same way: whichever of the two
-            // stores second replaces the entry without re-entering the
-            // eviction order.
-            if state.traces.insert(id, (trace_id, spans)).is_none() {
-                state.trace_order.push_back(id);
-            }
-        }
+        state.retain_trace(inner.config.traces_capacity, id, kept);
     }
 }
 
@@ -860,35 +873,31 @@ fn watchdog_loop(inner: &Inner) {
 /// without it [`crate::proto::SpanNode::from_spans`] has no tree to
 /// hang) and a `watchdog:stall` marker span whose notes carry the last
 /// [`FLIGHT_RECORD_EVENTS`] journal events, age-stamped.
-fn flight_record(
-    tracer: &trace::Tracer,
-    admitted_ns: u64,
-    now_ns: u64,
-    mapper: &str,
-    backend: &str,
-) -> Vec<trace::Span> {
-    let mut spans = tracer.snapshot();
+fn flight_record(info: &RunningInfo, now_ns: u64) -> Vec<trace::Span> {
+    let mut spans = info.tracer.snapshot();
     if !spans.iter().any(|s| s.id == trace::ROOT_SPAN) {
         spans.push(trace::Span {
             id: trace::ROOT_SPAN,
             parent: 0,
             name: "job".to_string(),
-            start_ns: admitted_ns,
+            start_ns: info.admitted_ns,
             end_ns: now_ns,
             notes: vec![
-                ("mapper".to_string(), mapper.to_string()),
-                ("backend".to_string(), backend.to_string()),
+                ("mapper".to_string(), info.mapper.clone()),
+                ("backend".to_string(), info.backend.clone()),
                 ("stalled".to_string(), "true".to_string()),
             ],
         });
     }
-    let obs_now = obs::now_ns();
     let mut notes = vec![(
         "running_seconds".to_string(),
-        format!("{:.3}", now_ns.saturating_sub(admitted_ns) as f64 * 1e-9),
+        format!(
+            "{:.3}",
+            now_ns.saturating_sub(info.admitted_ns) as f64 * 1e-9
+        ),
     )];
-    for (slot, event) in obs::recent(FLIGHT_RECORD_EVENTS).iter().enumerate() {
-        let age = obs_now.saturating_sub(event.at_ns) as f64 * 1e-9;
+    for (slot, event) in journal::recent(FLIGHT_RECORD_EVENTS).iter().enumerate() {
+        let age = now_ns.saturating_sub(event.at_ns) as f64 * 1e-9;
         notes.push((
             format!("journal[{slot}]"),
             format!(
@@ -936,7 +945,7 @@ impl Drop for MappingService {
         }
         self.inner.intake_cv.notify_all();
         self.inner.done_cv.notify_all();
-        self.inner.obs_cv.notify_all();
+        self.inner.tick_cv.notify_all();
         self.stream.close();
         let mut threads = match self.threads.lock() {
             Ok(threads) => threads,

@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use trace::journal::{self, Level};
 
 /// How often a blocked connection read wakes up to check the shutdown
 /// flag and its idle deadline. Far below human-observable latency, far
@@ -439,8 +440,8 @@ where
 
 /// Best-effort typed refusal for a connection over the cap.
 fn refuse_busy(mut stream: Stream, cap: usize) {
-    obs::event(
-        obs::Level::Warn,
+    journal::event(
+        Level::Warn,
         "net",
         "connection refused at the cap",
         &[("max_connections", &cap.to_string())],

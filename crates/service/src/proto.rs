@@ -14,6 +14,7 @@
 
 use crate::json::{self, Json};
 use std::fmt;
+use trace::journal::Level;
 
 /// Version of this wire protocol. Breaking changes to the frame shapes
 /// bump this and the daemon rejects mismatched clients with a
@@ -159,7 +160,7 @@ pub enum Request {
     Events {
         /// Minimum severity to include (absent on the wire decodes as
         /// `debug`, i.e. everything).
-        min_level: obs::Level,
+        min_level: Level,
         /// Only events with a strictly greater sequence number (absent
         /// on the wire decodes as 0 — the whole retained window).
         after_seq: u64,
@@ -783,7 +784,7 @@ pub struct EventBody {
     /// stamp — ages compose across processes that share no clock).
     pub age_seconds: f64,
     /// Severity.
-    pub level: obs::Level,
+    pub level: Level,
     /// Emitting subsystem, e.g. `plan-store` or `watchdog`.
     pub subsystem: String,
     /// The event message.
@@ -1499,13 +1500,12 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             // Both fields are additive-style optional: a bare `events`
             // frame means "everything retained, any level".
             let min_level = match value.get("min_level") {
-                None => obs::Level::Debug,
+                None => Level::Debug,
                 Some(x) => {
                     let text = x
                         .as_str()
                         .ok_or_else(|| shape("field `min_level` must be a string"))?;
-                    obs::Level::parse(text)
-                        .ok_or_else(|| shape(format!("unknown level `{text}`")))?
+                    Level::parse(text).ok_or_else(|| shape(format!("unknown level `{text}`")))?
                 }
             };
             Ok(Request::Events {
@@ -1661,8 +1661,8 @@ fn parse_series(value: &Json) -> Result<SeriesBody, ProtoError> {
 
 fn parse_event(value: &Json) -> Result<EventBody, ProtoError> {
     let level_text = str_field(value, "level")?;
-    let level = obs::Level::parse(&level_text)
-        .ok_or_else(|| shape(format!("unknown level `{level_text}`")))?;
+    let level =
+        Level::parse(&level_text).ok_or_else(|| shape(format!("unknown level `{level_text}`")))?;
     let fields = match value.get("fields") {
         None => Vec::new(),
         Some(x) => x
@@ -1873,11 +1873,11 @@ mod tests {
             Request::Metrics,
             Request::MetricsHistory,
             Request::Events {
-                min_level: obs::Level::Debug,
+                min_level: Level::Debug,
                 after_seq: 0,
             },
             Request::Events {
-                min_level: obs::Level::Warn,
+                min_level: Level::Warn,
                 after_seq: 512,
             },
             Request::Shutdown,
@@ -1983,7 +1983,7 @@ mod tests {
                 EventBody {
                     seq: 41,
                     age_seconds: 12.5,
-                    level: obs::Level::Warn,
+                    level: Level::Warn,
                     subsystem: "plan-store".to_string(),
                     message: "truncated tail record".to_string(),
                     fields: vec![("offset".to_string(), "4096".to_string())],
@@ -1991,7 +1991,7 @@ mod tests {
                 EventBody {
                     seq: 42,
                     age_seconds: 1.25,
-                    level: obs::Level::Info,
+                    level: Level::Info,
                     subsystem: "net".to_string(),
                     message: "idle connection disconnected".to_string(),
                     fields: Vec::new(),
@@ -2325,6 +2325,20 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_sink_keeps_the_root_and_its_tree() {
+        let tracer = trace::Tracer::new(5, 3);
+        for i in 0..5 {
+            tracer.record_root_child(&format!("s{i}"), i, i + 1, Vec::new());
+        }
+        tracer.finish_root("job", 0, 10, Vec::new());
+        let spans = tracer.snapshot();
+        assert!(spans.iter().any(|s| s.id == trace::ROOT_SPAN));
+        let tree = SpanNode::from_spans(&spans).expect("the root survives a full sink");
+        assert_eq!(tree.children.len(), 3);
+        assert_eq!(tracer.dropped(), 2, "children past the bound are dropped");
+    }
+
+    #[test]
     fn span_trees_assemble_render_and_rebase() {
         let spans = vec![
             trace::Span {
@@ -2434,7 +2448,7 @@ mod tests {
                 min_level,
                 after_seq,
             } => {
-                assert_eq!(min_level, obs::Level::Debug);
+                assert_eq!(min_level, Level::Debug);
                 assert_eq!(after_seq, 0);
             }
             other => panic!("unexpected request {other:?}"),

@@ -39,6 +39,7 @@ use std::io::{BufReader, Write};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use trace::journal::{self, Level};
 
 /// Where the router listens and which shards it fronts.
 #[derive(Clone, Debug)]
@@ -140,7 +141,7 @@ fn bind_checked(config: &RouterConfig) -> std::io::Result<net::Listener> {
 fn serve(listener: net::Listener, config: RouterConfig) -> std::io::Result<()> {
     // The router keeps its own journal (shard health, reconnects, idle
     // disconnects) and serves it as one more stream next to its shards'.
-    obs::enable();
+    journal::enable();
     probe_shards(&config.shards);
     let stop = Arc::new(StopFlag::new(listener.local_endpoint(&config.listen)));
     let limits = ConnLimits {
@@ -172,8 +173,8 @@ fn probe_shards(shards: &[Endpoint]) {
             .and_then(|mut client| client.stats());
         match health {
             Ok(stats) => {
-                obs::event(
-                    obs::Level::Info,
+                journal::event(
+                    Level::Info,
                     "router",
                     "shard healthy at startup",
                     &[
@@ -189,8 +190,8 @@ fn probe_shards(shards: &[Endpoint]) {
                 );
             }
             Err(e) => {
-                obs::event(
-                    obs::Level::Warn,
+                journal::event(
+                    Level::Warn,
                     "router",
                     "shard unreachable at startup",
                     &[
@@ -245,8 +246,8 @@ impl<'a> ShardPool<'a> {
                     // drop it; the next attempt reconnects fresh.
                     self.clients[idx] = None;
                     if attempt == 0 {
-                        obs::event(
-                            obs::Level::Warn,
+                        journal::event(
+                            Level::Warn,
                             "router",
                             "shard connection lost, reconnecting",
                             &[("shard", &idx.to_string()), ("error", &e.to_string())],
@@ -262,8 +263,8 @@ impl<'a> ShardPool<'a> {
 }
 
 fn unavailable(idx: usize, endpoint: &Endpoint, detail: &str) -> Response {
-    obs::event(
-        obs::Level::Error,
+    journal::event(
+        Level::Error,
         "router",
         "shard unavailable",
         &[
@@ -292,8 +293,8 @@ fn handle_connection(
             FrameEvent::Frame(line) => line,
             FrameEvent::Eof | FrameEvent::Shutdown => return Ok(()),
             FrameEvent::IdleTimeout => {
-                obs::event(
-                    obs::Level::Info,
+                journal::event(
+                    Level::Info,
                     "net",
                     "idle connection disconnected",
                     &[("idle_seconds", &format!("{:.1}", idle_limit.as_secs_f64()))],
@@ -516,7 +517,7 @@ fn fan_out_metrics(pool: &mut ShardPool<'_>) -> Response {
         queue_samples: 0,
         uptime_seconds: 0.0,
         jobs_inflight: 0,
-        events_dropped: obs::dropped_total(),
+        events_dropped: journal::dropped_total(),
         trace_drops: 0,
         passes: Vec::new(),
     };
@@ -602,7 +603,7 @@ fn fan_out_history(pool: &mut ShardPool<'_>) -> Response {
 /// Unreachable shards are *skipped*, not fatal: the reconnect machinery
 /// journals the failure, and that event rides along in this very
 /// response via the router's stream.
-fn fan_out_events(pool: &mut ShardPool<'_>, min_level: obs::Level, after_seq: u64) -> Response {
+fn fan_out_events(pool: &mut ShardPool<'_>, min_level: Level, after_seq: u64) -> Response {
     let streams = pool.endpoints.len() as u64 + 1;
     // Stream `stream`'s local cursor: the largest local seq whose remap
     // is <= after_seq (events strictly after it are new to the client).

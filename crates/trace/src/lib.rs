@@ -1,4 +1,4 @@
-//! # qlosure-trace — per-job span trees with near-zero disabled cost
+//! # qlosure-trace — per-job span trees and the process event journal
 //!
 //! The serving tier attributes a job's wall time to stages (queue wait,
 //! engine pickup, every mapping pass, each hierarchical fragment, plan-store
@@ -10,15 +10,21 @@
 //!    installed on the thread the call is one thread-local read and a
 //!    branch — no allocation, no clock read, no lock.
 //! 2. **Bounded.** A [`Tracer`] holds at most its configured capacity of
-//!    completed spans; overflow increments a drop counter instead of
-//!    growing. The lock is held only to push one finished span.
+//!    completed spans plus the job's root; overflow increments a drop
+//!    counter instead of growing. The lock is held only to push one
+//!    finished span.
 //! 3. **Additive.** Spans observe; they never feed back into mapping
 //!    decisions, so routed output is bit-for-bit identical with tracing on.
 //!
-//! Timestamps come from one process-wide monotonic clock ([`now_ns`]), so
-//! independent measurements of the same interval (e.g. the intake
-//! `queue_seconds` sample and the queue-wait span) agree bit-for-bit when
-//! derived from the same two stamps.
+//! The [`journal`] module is the process-wide side of the same contract:
+//! a bounded ring of operational events (warnings, refusals, stalls),
+//! off until a daemon enables it.
+//!
+//! Timestamps come from one process-wide monotonic clock ([`now_ns`]),
+//! shared by spans and journal events, so independent measurements of the
+//! same interval (e.g. the intake `queue_seconds` sample and the
+//! queue-wait span) agree bit-for-bit when derived from the same two
+//! stamps.
 //!
 //! Context hops threads explicitly: the submitting thread's context is
 //! captured with [`current_ctx`] and re-installed on the worker with
@@ -34,15 +40,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+pub mod journal;
+
 /// Span ID of the per-job root span. [`Tracer::new`] reserves it so
 /// children can be recorded before the root itself is (the root's extent
 /// is only known when the job finishes and is recorded retroactively via
 /// [`Tracer::finish_root`]).
 pub const ROOT_SPAN: u64 = 1;
 
-/// Nanoseconds since the process-wide trace-clock origin (the first call
-/// to this function). Monotonic; shared by every tracer in the process so
-/// spans from different threads order correctly.
+/// Nanoseconds since the process-wide clock origin (the first call to
+/// this function). Monotonic; shared by every tracer and the journal, so
+/// spans from different threads and the events around them order
+/// correctly.
 pub fn now_ns() -> u64 {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     let origin = *ORIGIN.get_or_init(Instant::now);
@@ -94,7 +103,7 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer identified by `trace_id` (propagated over the
     /// wire so a router can correlate its wrapper span with the shard's
-    /// tree) holding at most `capacity` completed spans.
+    /// tree) holding at most `capacity` completed spans plus the root.
     pub fn new(trace_id: u64, capacity: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
             trace_id,
@@ -118,10 +127,11 @@ impl Tracer {
 
     /// Records one finished span; past capacity it is counted in
     /// [`Tracer::dropped`] (and the process-wide [`drops_total`])
-    /// instead of stored.
+    /// instead of stored. The reserved root is always stored: the spans
+    /// a full sink kept only form a tree under it.
     pub fn record(&self, span: Span) {
         let mut sink = self.sink.lock().expect("trace sink poisoned");
-        if sink.spans.len() < self.capacity {
+        if sink.spans.len() < self.capacity || span.id == ROOT_SPAN {
             sink.spans.push(span);
         } else {
             sink.dropped += 1;
@@ -354,6 +364,7 @@ pub fn record_span(name: &str, start_ns: u64, end_ns: u64) {
 
 #[cfg(test)]
 mod tests {
+    use super::journal::{dropped_total, enable_with_capacity, event, events_since, recent, Level};
     use super::*;
 
     #[test]
@@ -474,5 +485,92 @@ mod tests {
         assert_eq!(spans[0].id, ROOT_SPAN);
         assert_eq!(spans[1].parent, ROOT_SPAN);
         assert_eq!(spans[1].name, "intake:queue-wait");
+    }
+
+    /// The journal is process-global; journal tests serialize on this
+    /// and start from an empty ring so they see only their own events.
+    fn with_fresh_journal(test: impl FnOnce()) {
+        static GATE: Mutex<()> = Mutex::new(());
+        let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        journal::reset(true);
+        test();
+        journal::reset(false);
+    }
+
+    #[test]
+    fn disabled_journal_records_nothing() {
+        with_fresh_journal(|| {
+            journal::reset(false);
+            let before = events_since(0, Level::Debug).1.len();
+            event(Level::Error, "test", "should vanish", &[]);
+            assert_eq!(events_since(0, Level::Debug).1.len(), before);
+        });
+    }
+
+    #[test]
+    fn events_round_trip_with_monotone_seq_and_fields() {
+        with_fresh_journal(|| {
+            event(Level::Info, "alpha", "first", &[("k", "v")]);
+            event(Level::Warn, "beta", "second", &[]);
+            let (_, events) = events_since(0, Level::Debug);
+            let ours: Vec<_> = events
+                .iter()
+                .filter(|e| e.subsystem == "alpha" || e.subsystem == "beta")
+                .collect();
+            assert_eq!(ours.len(), 2);
+            assert!(ours[0].seq >= 1, "seq starts at 1");
+            assert!(ours[0].seq < ours[1].seq, "seq is monotone");
+            assert!(ours[0].at_ns <= ours[1].at_ns);
+            assert!(ours[1].at_ns <= now_ns(), "events stamp the span clock");
+            assert_eq!(ours[0].fields, vec![("k".to_string(), "v".to_string())]);
+            // Tailing from the first seq returns only the second.
+            let (_, tail) = events_since(ours[0].seq, Level::Debug);
+            assert!(tail.iter().all(|e| e.seq > ours[0].seq));
+        });
+    }
+
+    #[test]
+    fn min_level_filters_and_orders() {
+        with_fresh_journal(|| {
+            event(Level::Debug, "lvl", "d", &[]);
+            event(Level::Info, "lvl", "i", &[]);
+            event(Level::Warn, "lvl", "w", &[]);
+            event(Level::Error, "lvl", "e", &[]);
+            let (_, warnings) = events_since(0, Level::Warn);
+            let msgs: Vec<&str> = warnings
+                .iter()
+                .filter(|e| e.subsystem == "lvl")
+                .map(|e| e.message.as_str())
+                .collect();
+            assert_eq!(msgs, ["w", "e"]);
+            assert!(Level::Debug < Level::Info && Level::Warn < Level::Error);
+        });
+    }
+
+    #[test]
+    fn full_ring_evicts_oldest_and_counts_drops() {
+        with_fresh_journal(|| {
+            enable_with_capacity(4);
+            let dropped_before = dropped_total();
+            for i in 0..10 {
+                event(Level::Info, "ring", &format!("evt {i}"), &[]);
+            }
+            let (dropped, events) = events_since(0, Level::Debug);
+            assert_eq!(events.len(), 4, "ring is bounded");
+            assert_eq!(dropped - dropped_before, 6, "evictions are counted");
+            // The *newest* events survive.
+            assert_eq!(events.last().unwrap().message, "evt 9");
+            assert_eq!(recent(2).len(), 2);
+            assert_eq!(recent(2)[0].message, "evt 8");
+        });
+    }
+
+    #[test]
+    fn level_spelling_round_trips() {
+        for level in [Level::Debug, Level::Info, Level::Warn, Level::Error] {
+            assert_eq!(Level::parse(level.as_str()), Some(level));
+            assert_eq!(format!("{level}"), level.as_str());
+        }
+        assert_eq!(Level::parse("fatal"), None);
     }
 }

@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use qlosure::{Layout, Mapper, PipelineError, QlosureMapper, RoutingState};
 use std::sync::Arc;
 use topology::{backends, CouplingGraph};
+use trace::journal::Level;
 
 // ---------- Presburger algebra ----------
 
@@ -764,12 +765,12 @@ fn arb_request() -> impl Strategy<Value = service::Request> {
 }
 
 /// The four journal severities, picked by a `0..4` selector.
-fn arb_level(pick: u8) -> obs::Level {
+fn arb_level(pick: u8) -> Level {
     match pick {
-        0 => obs::Level::Debug,
-        1 => obs::Level::Info,
-        2 => obs::Level::Warn,
-        _ => obs::Level::Error,
+        0 => Level::Debug,
+        1 => Level::Info,
+        2 => Level::Warn,
+        _ => Level::Error,
     }
 }
 

@@ -15,6 +15,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use trace::journal::Level;
 
 /// A unique temp socket path per test.
 fn socket_path(tag: &str) -> PathBuf {
@@ -994,19 +995,19 @@ fn watchdog_flags_a_stalled_job_with_a_wire_retrievable_flight_record() {
         stall.notes
     );
     // The same stall shows up in the event journal over the wire.
-    let events = client.events(obs::Level::Warn, 0).unwrap();
+    let events = client.events(Level::Warn, 0).unwrap();
     assert!(
         events
             .events
             .iter()
-            .any(|e| e.subsystem == "watchdog" && e.level == obs::Level::Warn),
+            .any(|e| e.subsystem == "watchdog" && e.level == Level::Warn),
         "journal must carry the watchdog warning: {:?}",
         events.events
     );
     // Seqs are monotone and the cursor contract holds: re-asking after
     // the newest seq returns nothing new (and nothing dropped in between).
     let newest = events.events.iter().map(|e| e.seq).max().unwrap();
-    let after = client.events(obs::Level::Debug, newest).unwrap();
+    let after = client.events(Level::Debug, newest).unwrap();
     assert!(
         after.events.iter().all(|e| e.seq > newest),
         "a seq cursor must exclude everything at or before it"
