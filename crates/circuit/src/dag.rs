@@ -3,6 +3,24 @@
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 
+/// Memory budget for the reachability rows behind
+/// [`DependenceGraph::transitive_successor_counts`]. Fixed, not
+/// configurable: circuits submitted over the wire reach that path too.
+const ROW_BUDGET_BYTES: usize = 64 << 20;
+
+/// Widest column block, in gates: one 1 KiB row per gate.
+const MAX_BLOCK_BITS: usize = 8192;
+
+/// The column block for a circuit of `n` gates: the widest multiple of 64
+/// gates, at most [`MAX_BLOCK_BITS`], whose `n` rows fit
+/// [`ROW_BUDGET_BYTES`]. That is the full 8,192 up to 65,536 gates. It
+/// never drops below one 64-bit word, so past about 8.4M gates the rows
+/// take 8 bytes per gate.
+fn block_bits(n: usize) -> usize {
+    let fitting = ROW_BUDGET_BYTES * 8 / n.max(1);
+    (fitting / 64 * 64).clamp(64, MAX_BLOCK_BITS)
+}
+
 /// The dependence graph of a circuit: one node per gate, one edge for each
 /// pair of *consecutive* uses of a qubit (the covering relation of the
 /// paper's `Rdep`; both have the same transitive closure, which is what the
@@ -126,18 +144,25 @@ impl DependenceGraph {
     /// dependence weight `ω(g) = card{ h : (g, h) ∈ R⁺ }` (Eq. 1).
     ///
     /// Computed by bitset reachability over the reverse topological order,
-    /// processed in column blocks of at most 8,192 gates so memory stays
-    /// `O(n · block)` instead of `O(n²)` bits. Each row holds one bit per
+    /// processed in column blocks so memory stays `O(n · block)` instead of
+    /// `O(n²)` bits. The block is 8,192 gates up to 65,536 gates and
+    /// narrows beyond, so the rows stay within a fixed 64 MiB (down to a
+    /// one-word block, past about 8.4M gates). Each row holds one bit per
     /// gate of the block, so a circuit smaller than a block pays only for
     /// its own size.
     pub fn transitive_successor_counts(&self) -> Vec<u64> {
-        const BLOCK_BITS: usize = 8192;
+        self.successor_counts_in_blocks(block_bits(self.n_gates()))
+    }
+
+    /// [`Self::transitive_successor_counts`] with column blocks of
+    /// `block` gates (a multiple of 64). The counts do not depend on it.
+    fn successor_counts_in_blocks(&self, block: usize) -> Vec<u64> {
         let n = self.n_gates();
-        let words = n.min(BLOCK_BITS).div_ceil(64);
+        let words = n.min(block).div_ceil(64);
         let mut counts = vec![0u64; n];
         let mut rows = vec![0u64; n * words];
-        for block_start in (0..n).step_by(BLOCK_BITS) {
-            let block_end = (block_start + BLOCK_BITS).min(n);
+        for block_start in (0..n).step_by(block) {
+            let block_end = (block_start + block).min(n);
             // Successors follow their gate in program order, so a gate at
             // or past `block_end` reaches nothing inside the block: its
             // row is never computed for this block, and never read.
@@ -301,6 +326,41 @@ mod tests {
         for g in [0, 1, 107, 8_191, 8_192, 8_299] {
             assert_eq!(counts[g as usize], dag.reachable_from(g).len() as u64);
         }
+    }
+
+    #[test]
+    fn narrow_blocks_give_identical_counts_within_the_row_budget() {
+        // 20,000 gates span three 8,192-gate blocks and 313 forced 64-gate
+        // ones; the block width must not change a single count.
+        let mut c = Circuit::new(24);
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 24) as u32
+        };
+        while c.gates().len() < 20_000 {
+            let (a, b) = (next(), next());
+            if a != b {
+                c.cx(a, b);
+            }
+        }
+        let dag = DependenceGraph::new(&c);
+        assert_eq!(block_bits(dag.n_gates()), MAX_BLOCK_BITS);
+        let counts = dag.transitive_successor_counts();
+        assert_eq!(counts, dag.successor_counts_in_blocks(64));
+        for g in [0, 4_321, 8_192, 19_999] {
+            assert_eq!(counts[g as usize], dag.reachable_from(g).len() as u64);
+        }
+        // Full-width blocks through 65,536 gates; past that the rows of
+        // 10^6 gates still fit the budget, and the block never drops
+        // below one word.
+        assert_eq!(block_bits(65_536), MAX_BLOCK_BITS);
+        assert!(block_bits(65_537) < MAX_BLOCK_BITS);
+        let wide = 1_000_000;
+        assert!(wide * (block_bits(wide) / 8) <= ROW_BUDGET_BYTES);
+        assert_eq!(block_bits(usize::MAX / 16), 64);
     }
 
     #[test]

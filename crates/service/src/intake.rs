@@ -625,8 +625,17 @@ fn scheduler_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
 /// Drains finished jobs into the bounded result store.
 fn collector_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
     while let Some((_, (id, outcome, trace_requested, tracer))) = stream.recv() {
+        // Retention policy: keep the span tree when the submit asked for
+        // it, or when the job ran long enough that someone will want to
+        // know why — even without having asked in advance.
+        let slow =
+            matches!(&outcome, JobOutcome::Done(s) if s.seconds > inner.config.trace_slow_seconds);
+        let retained = (trace_requested || slow) && inner.config.traces_capacity > 0;
+        // Only a retained trace that lost spans is worth a warning. Every
+        // other job's drops just count toward `trace::drops_total()`, so
+        // per-job chatter never evicts real warnings from the journal.
         let dropped_spans = tracer.dropped();
-        if dropped_spans > 0 {
+        if retained && dropped_spans > 0 {
             journal::event(
                 Level::Warn,
                 "trace",
@@ -661,12 +670,7 @@ fn collector_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
                 failed
             }
         };
-        // Retention policy: keep the span tree when the submit asked for
-        // it, or when the job ran long enough that someone will want to
-        // know why — even without having asked in advance.
-        let slow =
-            matches!(&outcome, JobOutcome::Done(s) if s.seconds > inner.config.trace_slow_seconds);
-        if (trace_requested || slow) && inner.config.traces_capacity > 0 {
+        if retained {
             let kept = (format!("{:016x}", tracer.trace_id()), tracer.snapshot());
             state.retain_trace(inner.config.traces_capacity, id, kept);
         }
@@ -1407,6 +1411,65 @@ mod tests {
         let retained = ids.iter().filter(|&&id| svc.trace(id).is_some()).count();
         assert_eq!(retained, 2, "trace store is bounded FIFO at capacity 2");
         assert!(svc.trace(ids[0]).is_none(), "oldest trace evicted first");
+    }
+
+    /// Opens more spans than a job's sink holds, then routes like
+    /// `qlosure`.
+    struct SpanFlood;
+
+    impl Mapper for SpanFlood {
+        fn name(&self) -> &str {
+            "span-flood"
+        }
+
+        fn map(&self, circuit: &Circuit, device: &CouplingGraph) -> MappingResult {
+            for _ in 0..TRACE_SPAN_CAPACITY + 64 {
+                let _span = trace::span("flood");
+            }
+            QlosureMapper::default().map(circuit, device)
+        }
+    }
+
+    #[test]
+    fn only_retained_traces_journal_their_span_overflow() {
+        journal::enable();
+        let svc = MappingService::start(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            results_capacity: 8,
+            trace_slow_seconds: 1e9,
+            ..ServiceConfig::default()
+        });
+        let flood = |trace| JobSpec {
+            mapper: Arc::new(SpanFlood),
+            trace,
+            ..spec(Priority::Interactive, 10, 3)
+        };
+        let cursor = journal::recent(1).last().map_or(0, |e| e.seq);
+        let drops_before = trace::drops_total();
+        let untraced = svc.submit(flood(false)).unwrap();
+        assert!(svc.wait(untraced, Duration::from_secs(60)).is_some());
+        assert!(
+            trace::drops_total() >= drops_before + 64,
+            "an untraced job's drops still count"
+        );
+        let traced = svc.submit(flood(true)).unwrap();
+        assert!(svc.wait(traced, Duration::from_secs(60)).is_some());
+        let overflow_warnings = |id: u64| {
+            let (_, events) = journal::events_since(cursor, Level::Warn);
+            events
+                .iter()
+                .filter(|e| e.subsystem == "trace")
+                .filter(|e| {
+                    e.fields
+                        .iter()
+                        .any(|(k, v)| k == "job" && *v == id.to_string())
+                })
+                .count()
+        };
+        assert_eq!(overflow_warnings(untraced), 0, "no per-job chatter");
+        assert_eq!(overflow_warnings(traced), 1, "a retained trace warns once");
+        svc.shutdown();
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!
 //! The pieces:
 //!
-//! * [`proto`] — wire types, hand-rolled encode/parse, typed errors,
+//! * [`proto`] — wire types declared once as field tables (each table is
+//!   the type, its encoder and its decoder), typed errors,
 //!   [`proto::PROTOCOL_VERSION`];
 //! * [`intake`] — [`MappingService`]: admission, scheduling, results,
 //!   graceful drain-then-exit shutdown;

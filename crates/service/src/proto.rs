@@ -11,6 +11,14 @@
 //! suite), and arbitrary bytes fed to the parsers produce a typed
 //! [`ProtoError`] — never a panic. Frames longer than [`MAX_FRAME`] are
 //! rejected before parsing.
+//!
+//! Each body and each request/response variant is declared once, as a
+//! field table: the table is the struct, its encoder and its decoder.
+//! Fields appear on the wire in table order, and each names its presence
+//! policy: `req` fields must be present, `opt` fields decode to their
+//! default when absent, and `omit` fields are also left off the wire
+//! while they hold it. An additive field is therefore one `opt` or
+//! `omit` line, and frames from peers that predate it still decode.
 
 use crate::json::{self, Json};
 use std::fmt;
@@ -26,250 +34,403 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// die before allocation).
 pub const MAX_FRAME: usize = 8 * 1024 * 1024;
 
-/// Scheduling class of a submission: interactive jobs overtake batch jobs
-/// in the admission queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Priority {
-    /// Latency-sensitive; drained before any queued batch work.
-    Interactive,
-    /// Throughput work; drained FIFO after interactive work.
-    Batch,
-}
+// ---------------------------------------------------------------------------
+// Field tables
+// ---------------------------------------------------------------------------
 
-impl Priority {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
+/// Implements [`Wire`] for scalars: `|x| JSON` spells the value, `|v|
+/// Option` reads it back, and the last part says what a field holding
+/// anything else must be.
+macro_rules! wire_scalar {
+    ($($ty:ty: |$x:ident| $to:expr, |$v:ident| $from:expr, $what:expr;)*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                let $x = self;
+                $to
+            }
+
+            fn from_json(value: &Json, name: &str) -> Result<$ty, ProtoError> {
+                let $v = value;
+                $from.ok_or_else(|| expected(name, $what))
+            }
         }
-    }
+    )*};
+}
 
-    /// Parses the wire spelling.
-    pub fn from_wire(s: &str) -> Option<Priority> {
-        match s {
-            "interactive" => Some(Priority::Interactive),
-            "batch" => Some(Priority::Batch),
-            _ => None,
+/// Declares a string enum with one wire spelling per variant, plus its
+/// `as_str`/`from_wire` pair and its [`Wire`] impl.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $wire:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
         }
-    }
-}
 
-/// How the daemon maps a submission onto the mapping architectures.
-///
-/// Additive request field (absent = `Flat`, so pre-existing clients keep
-/// working without a protocol version bump): `"hier"` swaps the resolved
-/// mapper for the hierarchical partitioned mapper, `"auto"` does so only
-/// for devices at or above the hierarchy's size threshold.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Run the named mapper flat against the whole device.
-    #[default]
-    Flat,
-    /// Run the hierarchical partitioned mapper (`qlosure-hier`).
-    Hier,
-    /// Pick `Hier` for large devices, the named mapper otherwise.
-    Auto,
-}
+        impl $name {
+            /// The wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)*
+                }
+            }
 
-impl Strategy {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Strategy::Flat => "flat",
-            Strategy::Hier => "hier",
-            Strategy::Auto => "auto",
+            /// Parses the wire spelling.
+            pub fn from_wire(s: &str) -> Option<$name> {
+                match s {
+                    $($wire => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
         }
-    }
 
-    /// Parses the wire spelling.
-    pub fn from_wire(s: &str) -> Option<Strategy> {
-        match s {
-            "flat" => Some(Strategy::Flat),
-            "hier" => Some(Strategy::Hier),
-            "auto" => Some(Strategy::Auto),
-            _ => None,
+        wire_scalar! {
+            $name: |x| Json::Str(x.as_str().to_string()),
+                |v| v.as_str().and_then($name::from_wire), concat!("one of", $(" `", $wire, "`",)*);
         }
+    };
+}
+
+/// Declares a wire body: a struct whose fields are listed once, in wire
+/// order, each as `policy name: Type` (optionally `as Codec` for a field
+/// with its own spelling). The body encodes as a JSON object, so it nests
+/// in other bodies, and a frame can also flatten its members.
+macro_rules! wire_body {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* $policy:ident $field:ident: $ty:ty $(as $via:ty)?,)*
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            fn put_members(&self, members: &mut Vec<(String, Json)>) {
+                $(put!($policy, members, $field, &self.$field, $ty $(, $via)?);)*
+            }
+
+            fn take_members(value: &Json) -> Result<$name, ProtoError> {
+                Ok($name {
+                    $($field: take!($policy, value, $field, $ty $(, $via)?),)*
+                })
+            }
+        }
+
+        impl Wire for $name {
+            fn to_json(&self) -> Json {
+                let mut members = Vec::new();
+                self.put_members(&mut members);
+                Json::Obj(members)
+            }
+
+            fn from_json(value: &Json, name: &str) -> Result<$name, ProtoError> {
+                value.as_obj().ok_or_else(|| expected(name, "an object"))?;
+                $name::take_members(value)
+            }
+        }
+    };
+}
+
+/// Declares a frame enum: one `op` per variant, followed on the wire by
+/// the variant's fields (a table, as in [`wire_body!`]) or by the members
+/// of the body it wraps, flattened into the frame.
+macro_rules! wire_frames {
+    ($(#[$meta:meta])* pub enum $name:ident ($what:literal) {
+        $($(#[$vmeta:meta])* $variant:ident $(($bind:ident: $body:ty))? = $op:literal $({
+            $($(#[$fmeta:meta])* $policy:ident $field:ident: $ty:ty $(as $via:ty)?,)*
+        })?,)*
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $(($body))? $({ $($(#[$fmeta])* $field: $ty,)* })?,)*
+        }
+
+        impl $name {
+            fn to_frame(&self) -> Json {
+                let mut members = vec![("v".to_string(), PROTOCOL_VERSION.to_json())];
+                match self {
+                    $($name::$variant $(($bind))? $({ $($field),* })? => {
+                        members.push(("op".to_string(), Json::Str($op.to_string())));
+                        $($bind.put_members(&mut members);)?
+                        $($(put!($policy, members, $field, $field, $ty $(, $via)?);)*)?
+                    })*
+                }
+                Json::Obj(members)
+            }
+
+            fn from_frame(value: &Json) -> Result<$name, ProtoError> {
+                let op = req(value, "op", String::from_json)?;
+                Ok(match op.as_str() {
+                    $($op => $name::$variant $((<$body>::take_members(value)?))? $({
+                        $($field: take!($policy, value, $field, $ty $(, $via)?),)*
+                    })?,)*
+                    other => return Err(shape(format!("unknown {} op `{other}`", $what))),
+                })
+            }
+        }
+    };
+}
+
+/// Encodes one table field into `members` by its policy (`take!` rejects
+/// any policy but `req`, `opt` and `omit`).
+macro_rules! put {
+    (omit, $members:ident, $field:ident, $value:expr, $ty:ty $(, $via:ty)?) => {
+        if *$value != <$ty>::default() {
+            put!(opt, $members, $field, $value, $ty $(, $via)?);
+        }
+    };
+    ($policy:ident, $members:ident, $field:ident, $value:expr, $ty:ty $(, $via:ty)?) => {
+        $members.push((
+            stringify!($field).to_string(),
+            <codec!($ty $(, $via)?)>::to_json($value),
+        ))
+    };
+}
+
+/// Decodes one table field from an object by its policy.
+macro_rules! take {
+    (req, $value:expr, $field:ident, $ty:ty $(, $via:ty)?) => {
+        req($value, stringify!($field), <codec!($ty $(, $via)?)>::from_json)?
+    };
+    (opt, $value:expr, $field:ident, $ty:ty $(, $via:ty)?) => {
+        opt($value, stringify!($field), <codec!($ty $(, $via)?)>::from_json)?
+    };
+    (omit, $value:expr, $field:ident, $ty:ty $(, $via:ty)?) => {
+        take!(opt, $value, $field, $ty $(, $via)?)
+    };
+}
+
+/// The type whose `to_json`/`from_json` spell a field: its own, or the
+/// `as` codec.
+macro_rules! codec {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $via:ty) => {
+        $via
+    };
+}
+
+wire_enum! {
+    /// Scheduling class of a submission: interactive jobs overtake batch jobs
+    /// in the admission queue.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Priority {
+        /// Latency-sensitive; drained before any queued batch work.
+        Interactive = "interactive",
+        /// Throughput work; drained FIFO after interactive work.
+        Batch = "batch",
     }
 }
 
-/// A client→daemon frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Submit one mapping job.
-    Submit {
-        /// Device name, resolved via `topology::backends::by_name`.
-        backend: String,
-        /// Mapper name (`qlosure` or any baseline).
-        mapper: String,
-        /// Inline OpenQASM 2.0 source.
-        qasm: String,
-        /// Scheduling class.
-        priority: Priority,
-        /// Opt-in: also estimate the routed circuit's success probability
-        /// under a synthetic calibration (reported as `success_ppm`).
-        fidelity: bool,
-        /// Mapping architecture selection (additive; absent on the wire
-        /// means [`Strategy::Flat`]).
-        strategy: Strategy,
-        /// Opt-in: retain the job's span tree for a later `trace`
-        /// request (additive; absent on the wire means `false`).
-        trace: bool,
-    },
-    /// Ask for the state/result of a submitted job.
-    Poll {
-        /// The ID returned by the submit response.
-        id: u64,
-    },
-    /// Wait for a submitted job to finish, then answer exactly like
-    /// [`Request::Poll`] (additive op, like [`Request::Metrics`]). The
-    /// daemon parks the connection until the job finishes or `timeout_ms`
-    /// elapses, whichever is first, capped at its per-connection idle
-    /// deadline; a job still unfinished then answers `pending`.
-    Wait {
-        /// The ID returned by the submit response.
-        id: u64,
-        /// The longest the client will wait, in milliseconds. JSON numbers
-        /// are doubles, so values past 2^53 lose precision on the wire;
-        /// anything at or past 2^64 decodes as `u64::MAX`, which therefore
-        /// round-trips exactly.
-        timeout_ms: u64,
-    },
-    /// Ask for a completed job's span tree (additive op, like
-    /// [`Request::Metrics`]): answered when the submit opted in with
-    /// `trace: true` or the job exceeded the daemon's slow-job retention
-    /// threshold, `unknown-id` otherwise.
-    Trace {
-        /// The ID returned by the submit response.
-        id: u64,
-    },
-    /// Ask for daemon counters, including shared-cache hit/miss totals.
-    Stats,
-    /// Ask for the full observability export: counters plus queue-delay
-    /// percentiles and per-pass timing aggregates ([`MetricsBody`]).
-    /// Additive op (new daemons answer it, old daemons answer
-    /// `bad-request`) — no version bump.
-    Metrics,
-    /// Ask for the metrics time-series window: the sampler thread's
-    /// retained [`MetricsBody`] snapshots plus rates computed over them
-    /// ([`HistoryBody`]). Additive op, like [`Request::Metrics`].
-    MetricsHistory,
-    /// Ask for the journal window: retained structured events at or
-    /// above `min_level`, strictly after `after_seq` ([`EventsBody`]).
-    /// Additive op, like [`Request::Metrics`].
-    Events {
-        /// Minimum severity to include (absent on the wire decodes as
-        /// `debug`, i.e. everything).
-        min_level: Level,
-        /// Only events with a strictly greater sequence number (absent
-        /// on the wire decodes as 0 — the whole retained window).
-        after_seq: u64,
-    },
-    /// Request graceful shutdown: intake closes, in-flight and queued
-    /// jobs drain, then the daemon exits.
-    Shutdown,
+wire_enum! {
+    /// How the daemon maps a submission onto the mapping architectures.
+    ///
+    /// Additive request field (absent = `Flat`, so pre-existing clients keep
+    /// working without a protocol version bump): `"hier"` swaps the resolved
+    /// mapper for the hierarchical partitioned mapper, `"auto"` does so only
+    /// for devices at or above the hierarchy's size threshold.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub enum Strategy {
+        /// Run the named mapper flat against the whole device.
+        #[default]
+        Flat = "flat",
+        /// Run the hierarchical partitioned mapper (`qlosure-hier`).
+        Hier = "hier",
+        /// Pick `Hier` for large devices, the named mapper otherwise.
+        Auto = "auto",
+    }
 }
 
-/// The result summary of one completed mapping job.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Summary {
-    /// SWAPs inserted.
-    pub swaps: u64,
-    /// Routed depth (unit-gate model).
-    pub depth: u64,
-    /// Routed gate count.
-    pub qops: u64,
-    /// Initial layout, `initial_layout[logical] = physical`.
-    pub initial_layout: Vec<u32>,
-    /// Final layout after all SWAPs.
-    pub final_layout: Vec<u32>,
-    /// FNV-1a fingerprint of the full mapping result (routed gates +
-    /// layouts), as 16 lowercase hex digits — lets clients check
-    /// bit-for-bit equivalence without shipping the routed circuit.
-    pub fingerprint: String,
-    /// The pass composition that ran (empty for opaque mappers).
-    pub pipeline: String,
-    /// Per-pass wall-clock timings (`stage:name`, seconds).
-    pub pass_seconds: Vec<(String, f64)>,
-    /// Wall-clock mapping seconds (timing field).
-    pub seconds: f64,
-    /// Seconds between admission and worker pickup (timing field).
-    pub queue_seconds: f64,
-    /// Completion sequence number (0-based, daemon-wide): the order jobs
-    /// finished in, which is how priority scheduling is observable.
-    pub seq: u64,
-    /// Whether the independent routing verifier accepted the result
-    /// (always `true` for a `done` response; failures use `failed`).
-    pub verified: bool,
-    /// Estimated success probability in parts per million, when the
-    /// request opted into fidelity estimation.
-    pub success_ppm: Option<i64>,
+wire_frames! {
+    /// A client→daemon frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request ("request") {
+        /// Submit one mapping job.
+        Submit = "submit" {
+            /// Device name, resolved via `topology::backends::by_name`.
+            req backend: String,
+            /// Mapper name (`qlosure` or any baseline).
+            req mapper: String,
+            /// Inline OpenQASM 2.0 source.
+            req qasm: String,
+            /// Scheduling class.
+            req priority: Priority,
+            /// Opt-in: also estimate the routed circuit's success probability
+            /// under a synthetic calibration (reported as `success_ppm`).
+            req fidelity: bool,
+            /// Mapping architecture selection (additive; absent on the wire
+            /// means [`Strategy::Flat`]).
+            opt strategy: Strategy,
+            /// Opt-in: retain the job's span tree for a later `trace`
+            /// request (additive; absent on the wire means `false`, and an
+            /// untraced submit leaves it off so old daemons never see it).
+            omit trace: bool,
+        },
+        /// Ask for the state/result of a submitted job.
+        Poll = "poll" {
+            /// The ID returned by the submit response.
+            req id: u64,
+        },
+        /// Wait for a submitted job to finish, then answer exactly like
+        /// [`Request::Poll`] (additive op, like [`Request::Metrics`]). The
+        /// daemon parks the connection until the job finishes or `timeout_ms`
+        /// elapses, whichever is first, capped at its per-connection idle
+        /// deadline; a job still unfinished then answers `pending`.
+        Wait = "wait" {
+            /// The ID returned by the submit response.
+            req id: u64,
+            /// The longest the client will wait, in milliseconds. JSON numbers
+            /// are doubles, so values past 2^53 lose precision on the wire;
+            /// anything at or past 2^64 decodes as `u64::MAX`, which therefore
+            /// round-trips exactly.
+            req timeout_ms: u64 as Millis,
+        },
+        /// Ask for a completed job's span tree (additive op, like
+        /// [`Request::Metrics`]): answered when the submit opted in with
+        /// `trace: true` or the job exceeded the daemon's slow-job retention
+        /// threshold, `unknown-id` otherwise.
+        Trace = "trace" {
+            /// The ID returned by the submit response.
+            req id: u64,
+        },
+        /// Ask for daemon counters, including shared-cache hit/miss totals.
+        Stats = "stats",
+        /// Ask for the full observability export: counters plus queue-delay
+        /// percentiles and per-pass timing aggregates ([`MetricsBody`]).
+        /// Additive op (new daemons answer it, old daemons answer
+        /// `bad-request`) — no version bump.
+        Metrics = "metrics",
+        /// Ask for the metrics time-series window: the sampler thread's
+        /// retained [`MetricsBody`] snapshots plus rates computed over them
+        /// ([`HistoryBody`]). Additive op, like [`Request::Metrics`].
+        MetricsHistory = "metrics-history",
+        /// Ask for the journal window: retained structured events at or
+        /// above `min_level`, strictly after `after_seq` ([`EventsBody`]).
+        /// Additive op, like [`Request::Metrics`]; a bare `events` frame
+        /// asks for everything retained, at any level.
+        Events = "events" {
+            /// Minimum severity to include (absent on the wire decodes as
+            /// `debug`, i.e. everything).
+            opt min_level: Level,
+            /// Only events with a strictly greater sequence number (absent
+            /// on the wire decodes as 0 — the whole retained window).
+            opt after_seq: u64,
+        },
+        /// Request graceful shutdown: intake closes, in-flight and queued
+        /// jobs drain, then the daemon exits.
+        Shutdown = "shutdown",
+    }
 }
 
-/// Daemon counters reported by [`Response::Stats`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsBody {
-    /// The daemon's protocol version.
-    pub protocol: u64,
-    /// Mapping worker count.
-    pub workers: u64,
-    /// Jobs currently waiting in the admission queue.
-    pub queue_depth: u64,
-    /// Jobs accepted since startup.
-    pub submitted: u64,
-    /// Jobs completed successfully since startup.
-    pub completed: u64,
-    /// Jobs rejected at admission (queue full / shutting down).
-    pub rejected: u64,
-    /// Jobs that failed while mapping.
-    pub failed: u64,
-    /// Process-wide shared distance-cache hits (cross-request
-    /// amortization counter).
-    pub distance_hits: u64,
-    /// Process-wide shared distance-cache misses.
-    pub distance_misses: u64,
-    /// Process-wide transitive-closure memo hits.
-    pub closure_hits: u64,
-    /// Process-wide transitive-closure memo misses.
-    pub closure_misses: u64,
-    /// Process-wide reliability-weighted distance-cache hits (additive
-    /// field; absent on the wire decodes as 0).
-    pub weighted_hits: u64,
-    /// Process-wide reliability-weighted distance-cache misses.
-    pub weighted_misses: u64,
-    /// Process-wide hierarchical sub-routing fragment-memo hits.
-    pub subroute_hits: u64,
-    /// Process-wide hierarchical sub-routing fragment-memo misses.
-    pub subroute_misses: u64,
-    /// Plan-store hits where the fragment was byte-identical to one
-    /// already cached (additive field; absent on the wire decodes as 0).
-    pub plan_exact_hits: u64,
-    /// Plan-store hits earned by canonicalization: a structurally
-    /// isomorphic fragment under a different labeling shared the plan.
-    pub plan_canonical_hits: u64,
-    /// Plans loaded from the optional `--plan-store` disk tier.
-    pub plan_disk_hits: u64,
-    /// Plans persisted to the disk tier after a fresh compute.
-    pub plan_disk_writes: u64,
+wire_body! {
+    /// The result summary of one completed mapping job.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct Summary {
+        /// SWAPs inserted.
+        req swaps: u64,
+        /// Routed depth (unit-gate model).
+        req depth: u64,
+        /// Routed gate count.
+        req qops: u64,
+        /// Initial layout, `initial_layout[logical] = physical`.
+        req initial_layout: Vec<u32>,
+        /// Final layout after all SWAPs.
+        req final_layout: Vec<u32>,
+        /// FNV-1a fingerprint of the full mapping result (routed gates +
+        /// layouts), as 16 lowercase hex digits — lets clients check
+        /// bit-for-bit equivalence without shipping the routed circuit.
+        req fingerprint: String,
+        /// The pass composition that ran (empty for opaque mappers).
+        req pipeline: String,
+        /// Per-pass wall-clock timings (`stage:name`, seconds).
+        req pass_seconds: Vec<(String, f64)>,
+        /// Wall-clock mapping seconds (timing field).
+        req seconds: f64,
+        /// Seconds between admission and worker pickup (timing field).
+        req queue_seconds: f64,
+        /// Completion sequence number (0-based, daemon-wide): the order jobs
+        /// finished in, which is how priority scheduling is observable.
+        req seq: u64,
+        /// Whether the independent routing verifier accepted the result
+        /// (always `true` for a `done` response; failures use `failed`).
+        req verified: bool,
+        /// Estimated success probability in parts per million, when the
+        /// request opted into fidelity estimation.
+        omit success_ppm: Option<i64>,
+    }
 }
 
-/// One node of a job's span tree, as carried by [`Response::Trace`].
-/// Timestamps are nanoseconds **relative to the root span's start**, so
-/// they stay far below 2^53 and trees from different processes (a
-/// router's wrapper around a shard's tree) compose without sharing a
-/// clock.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanNode {
-    /// Stage label, e.g. `routing:hier-route` or `intake:queue-wait`.
-    pub name: String,
-    /// Start offset in nanoseconds from the root span's start.
-    pub start_ns: u64,
-    /// End offset in nanoseconds from the root span's start.
-    pub end_ns: u64,
-    /// Key/value annotations, e.g. `("plan_tier", "canonical")`.
-    pub notes: Vec<(String, String)>,
-    /// Child spans, ordered by start offset.
-    pub children: Vec<SpanNode>,
+wire_body! {
+    /// Daemon counters reported by [`Response::Stats`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct StatsBody {
+        /// The daemon's protocol version.
+        req protocol: u64,
+        /// Mapping worker count.
+        req workers: u64,
+        /// Jobs currently waiting in the admission queue.
+        req queue_depth: u64,
+        /// Jobs accepted since startup.
+        req submitted: u64,
+        /// Jobs completed successfully since startup.
+        req completed: u64,
+        /// Jobs rejected at admission (queue full / shutting down).
+        req rejected: u64,
+        /// Jobs that failed while mapping.
+        req failed: u64,
+        /// Process-wide shared distance-cache hits (cross-request
+        /// amortization counter).
+        req distance_hits: u64,
+        /// Process-wide shared distance-cache misses.
+        req distance_misses: u64,
+        /// Process-wide transitive-closure memo hits.
+        req closure_hits: u64,
+        /// Process-wide transitive-closure memo misses.
+        req closure_misses: u64,
+        /// Process-wide reliability-weighted distance-cache hits (additive
+        /// field; absent on the wire decodes as 0).
+        opt weighted_hits: u64,
+        /// Process-wide reliability-weighted distance-cache misses.
+        opt weighted_misses: u64,
+        /// Process-wide hierarchical sub-routing fragment-memo hits.
+        opt subroute_hits: u64,
+        /// Process-wide hierarchical sub-routing fragment-memo misses.
+        opt subroute_misses: u64,
+        /// Plan-store hits where the fragment was byte-identical to one
+        /// already cached (additive field; absent on the wire decodes as 0).
+        opt plan_exact_hits: u64,
+        /// Plan-store hits earned by canonicalization: a structurally
+        /// isomorphic fragment under a different labeling shared the plan.
+        opt plan_canonical_hits: u64,
+        /// Plans loaded from the optional `--plan-store` disk tier.
+        opt plan_disk_hits: u64,
+        /// Plans persisted to the disk tier after a fresh compute.
+        opt plan_disk_writes: u64,
+    }
+}
+
+wire_body! {
+    /// One node of a job's span tree, as carried by [`Response::Trace`].
+    /// Timestamps are nanoseconds **relative to the root span's start**, so
+    /// they stay far below 2^53 and trees from different processes (a
+    /// router's wrapper around a shard's tree) compose without sharing a
+    /// clock.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct SpanNode {
+        /// Stage label, e.g. `routing:hier-route` or `intake:queue-wait`.
+        req name: String,
+        /// Start offset in nanoseconds from the root span's start.
+        req start_ns: u64,
+        /// End offset in nanoseconds from the root span's start.
+        req end_ns: u64,
+        /// Key/value annotations, e.g. `("plan_tier", "canonical")`.
+        omit notes: Vec<(String, String)>,
+        /// Child spans, ordered by start offset. Decoding recurses no
+        /// deeper than the JSON parser's depth limit.
+        omit children: Vec<SpanNode>,
+    }
 }
 
 impl SpanNode {
@@ -343,20 +504,16 @@ impl SpanNode {
         fn event(node: &SpanNode, depth: u64, out: &mut Vec<Json>) {
             let ts = node.start_ns as f64 / 1e3;
             let dur = node.end_ns.saturating_sub(node.start_ns) as f64 / 1e3;
-            let args = node
-                .notes
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                .collect::<Vec<_>>();
-            out.push(obj(vec![
+            let members = [
                 ("name", Json::Str(node.name.clone())),
                 ("ph", Json::Str("X".to_string())),
                 ("ts", Json::Num(ts)),
                 ("dur", Json::Num(dur)),
                 ("pid", Json::Num(1.0)),
                 ("tid", Json::Num(depth as f64 + 1.0)),
-                ("args", Json::Obj(args)),
-            ]));
+                ("args", node.notes.to_json()),
+            ];
+            out.push(Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into()));
             for child in &node.children {
                 event(child, depth + 1, out);
             }
@@ -368,41 +525,44 @@ impl SpanNode {
     }
 }
 
-/// The full observability export reported by [`Response::Metrics`]: the
-/// counter block plus queue-delay percentiles and per-pass timing
-/// aggregates. [`MetricsBody::render`] flattens it into scraper-friendly
-/// text for `qlosure-cli metrics`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsBody {
-    /// The daemon counters (same block as [`Response::Stats`]).
-    pub stats: StatsBody,
-    /// Median seconds between admission and worker pickup, over the
-    /// retained sample window.
-    pub queue_p50: f64,
-    /// 90th-percentile queue delay (seconds).
-    pub queue_p90: f64,
-    /// 99th-percentile queue delay (seconds).
-    pub queue_p99: f64,
-    /// Worst queue delay in the sample window (seconds).
-    pub queue_max: f64,
-    /// How many completed jobs the percentiles were computed over.
-    pub queue_samples: u64,
-    /// Per-pass timing aggregates as `(label, runs, total_seconds)`,
-    /// sorted by label. Labels are pipeline pass labels
-    /// (`stage:name`, e.g. `routing:qlosure`).
-    pub passes: Vec<(String, u64, f64)>,
-    /// Seconds since the service started (additive field; absent on the
-    /// wire decodes as 0).
-    pub uptime_seconds: f64,
-    /// Jobs admitted but not yet finished — queued plus in flight
-    /// (additive field; absent on the wire decodes as 0).
-    pub jobs_inflight: u64,
-    /// Journal events evicted from the bounded event ring, process-wide
-    /// (additive field; absent on the wire decodes as 0).
-    pub events_dropped: u64,
-    /// Spans dropped by full per-job trace sinks, process-wide (additive
-    /// field; absent on the wire decodes as 0).
-    pub trace_drops: u64,
+wire_body! {
+    /// The full observability export reported by [`Response::Metrics`]: the
+    /// counter block plus queue-delay percentiles and per-pass timing
+    /// aggregates. [`MetricsBody::render`] flattens it into scraper-friendly
+    /// text for `qlosure-cli metrics`.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct MetricsBody {
+        /// The daemon counters (same block as [`Response::Stats`]), nested
+        /// under `"stats"` on the wire.
+        req stats: StatsBody,
+        /// Median seconds between admission and worker pickup, over the
+        /// retained sample window.
+        req queue_p50: f64,
+        /// 90th-percentile queue delay (seconds).
+        req queue_p90: f64,
+        /// 99th-percentile queue delay (seconds).
+        req queue_p99: f64,
+        /// Worst queue delay in the sample window (seconds).
+        req queue_max: f64,
+        /// How many completed jobs the percentiles were computed over.
+        req queue_samples: u64,
+        /// Seconds since the service started (additive field; absent on the
+        /// wire decodes as 0).
+        opt uptime_seconds: f64,
+        /// Jobs admitted but not yet finished — queued plus in flight
+        /// (additive field; absent on the wire decodes as 0).
+        opt jobs_inflight: u64,
+        /// Journal events evicted from the bounded event ring, process-wide
+        /// (additive field; absent on the wire decodes as 0).
+        opt events_dropped: u64,
+        /// Spans dropped by full per-job trace sinks, process-wide (additive
+        /// field; absent on the wire decodes as 0).
+        opt trace_drops: u64,
+        /// Per-pass timing aggregates as `(label, runs, total_seconds)`,
+        /// sorted by label, on the wire as `{label: [runs, total]}`. Labels
+        /// are pipeline pass labels (`stage:name`, e.g. `routing:qlosure`).
+        req passes: Vec<(String, u64, f64)>,
+    }
 }
 
 impl MetricsBody {
@@ -611,49 +771,53 @@ impl MetricsBody {
     }
 }
 
-/// One point of the metrics time-series ring, carried by
-/// [`Response::MetricsHistory`]: the counters a dashboard differentiates
-/// into rates, snapshotted from a full [`MetricsBody`] by the daemon's
-/// sampler thread.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SampleBody {
-    /// Monotone sample index (daemon-local; survives ring eviction, so a
-    /// poller can detect gaps).
-    pub index: u64,
-    /// Uptime seconds at sample time — the series' time axis.
-    pub uptime_seconds: f64,
-    /// Jobs accepted since startup.
-    pub submitted: u64,
-    /// Jobs completed since startup.
-    pub completed: u64,
-    /// Jobs failed since startup.
-    pub failed: u64,
-    /// Jobs rejected at admission since startup.
-    pub rejected: u64,
-    /// Admission-queue depth at sample time.
-    pub queue_depth: u64,
-    /// Jobs admitted but not yet finished at sample time.
-    pub jobs_inflight: u64,
-    /// 99th-percentile queue delay at sample time (seconds).
-    pub queue_p99: f64,
-    /// Shared distance-cache hits since startup.
-    pub distance_hits: u64,
-    /// Shared distance-cache misses since startup.
-    pub distance_misses: u64,
-    /// Plan-store exact-tier hits since startup.
-    pub plan_exact_hits: u64,
-    /// Plan-store canonical-tier hits since startup.
-    pub plan_canonical_hits: u64,
-    /// Plan-store disk-tier hits since startup.
-    pub plan_disk_hits: u64,
-    /// Sub-routing fragment-memo hits since startup.
-    pub subroute_hits: u64,
-    /// Sub-routing fragment-memo misses since startup.
-    pub subroute_misses: u64,
-    /// Journal events evicted from the bounded ring since startup.
-    pub events_dropped: u64,
-    /// Spans dropped by full trace sinks since startup.
-    pub trace_drops: u64,
+wire_body! {
+    /// One point of the metrics time-series ring, carried by
+    /// [`Response::MetricsHistory`]: the counters a dashboard differentiates
+    /// into rates, snapshotted from a full [`MetricsBody`] by the daemon's
+    /// sampler thread.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SampleBody {
+        /// Monotone sample index (daemon-local; survives ring eviction, so a
+        /// poller can detect gaps).
+        req index: u64,
+        /// Uptime seconds at sample time — the series' time axis.
+        req uptime_seconds: f64,
+        /// Jobs accepted since startup.
+        req submitted: u64,
+        /// Jobs completed since startup.
+        req completed: u64,
+        /// Jobs failed since startup.
+        req failed: u64,
+        /// Jobs rejected at admission since startup.
+        req rejected: u64,
+        /// Admission-queue depth at sample time.
+        req queue_depth: u64,
+        /// Jobs admitted but not yet finished at sample time.
+        req jobs_inflight: u64,
+        /// 99th-percentile queue delay at sample time (seconds).
+        req queue_p99: f64,
+        /// Shared distance-cache hits since startup.
+        req distance_hits: u64,
+        /// Shared distance-cache misses since startup.
+        req distance_misses: u64,
+        /// Plan-store exact-tier hits since startup.
+        req plan_exact_hits: u64,
+        /// Plan-store canonical-tier hits since startup.
+        req plan_canonical_hits: u64,
+        /// Plan-store disk-tier hits since startup.
+        req plan_disk_hits: u64,
+        /// Sub-routing fragment-memo hits since startup.
+        req subroute_hits: u64,
+        /// Sub-routing fragment-memo misses since startup.
+        req subroute_misses: u64,
+        /// Journal events evicted from the bounded ring since startup
+        /// (additive field; absent on the wire decodes as 0).
+        opt events_dropped: u64,
+        /// Spans dropped by full trace sinks since startup (additive field;
+        /// absent on the wire decodes as 0).
+        opt trace_drops: u64,
+    }
 }
 
 impl SampleBody {
@@ -694,21 +858,23 @@ impl SampleBody {
     }
 }
 
-/// Rates computed over one shard's retained sample window, carried by
-/// [`SeriesBody`]. All zeros when the window holds fewer than two
-/// samples (no interval to differentiate over).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RatesBody {
-    /// Seconds between the oldest and newest retained sample.
-    pub window_seconds: f64,
-    /// Completed jobs per second over the window.
-    pub jobs_per_second: f64,
-    /// Cache hits ÷ cache probes over the window (distance +
-    /// sub-routing), in `[0, 1]`; 0 when the window saw no probes.
-    pub cache_hit_rate: f64,
-    /// Newest queue depth minus oldest (signed): positive means the
-    /// backlog is growing.
-    pub queue_depth_trend: f64,
+wire_body! {
+    /// Rates computed over one shard's retained sample window, carried by
+    /// [`SeriesBody`]. All zeros when the window holds fewer than two
+    /// samples (no interval to differentiate over).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct RatesBody {
+        /// Seconds between the oldest and newest retained sample.
+        req window_seconds: f64,
+        /// Completed jobs per second over the window.
+        req jobs_per_second: f64,
+        /// Cache hits ÷ cache probes over the window (distance +
+        /// sub-routing), in `[0, 1]`; 0 when the window saw no probes.
+        req cache_hit_rate: f64,
+        /// Newest queue depth minus oldest (signed): positive means the
+        /// backlog is growing.
+        req queue_depth_trend: f64,
+    }
 }
 
 impl RatesBody {
@@ -719,12 +885,7 @@ impl RatesBody {
     #[must_use]
     pub fn over(samples: &[SampleBody]) -> RatesBody {
         let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
-            return RatesBody {
-                window_seconds: 0.0,
-                jobs_per_second: 0.0,
-                cache_hit_rate: 0.0,
-                queue_depth_trend: 0.0,
-            };
+            return RatesBody::default();
         };
         let window = (last.uptime_seconds - first.uptime_seconds).max(0.0);
         let completed = last.completed.saturating_sub(first.completed);
@@ -747,133 +908,101 @@ impl RatesBody {
     }
 }
 
-/// One shard's slice of a [`Response::MetricsHistory`]: its retained
-/// sample window plus the rates computed over it. A lone daemon reports
-/// exactly one series (shard 0); a router reports one per shard, with
-/// `shard` relabeled to the fleet index.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SeriesBody {
-    /// Fleet shard index (0 for an unfronted daemon).
-    pub shard: u64,
-    /// The retained window, oldest first, aligned by `index`.
-    pub samples: Vec<SampleBody>,
-    /// Rates over this window.
-    pub rates: RatesBody,
-}
-
-/// The metrics time-series window carried by
-/// [`Response::MetricsHistory`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistoryBody {
-    /// Seconds between consecutive samples (the daemon's `--obs-sample`).
-    pub sample_seconds: f64,
-    /// Per-shard series, ordered by shard index.
-    pub series: Vec<SeriesBody>,
-}
-
-/// One journal event carried by [`Response::Events`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct EventBody {
-    /// Monotone per-daemon sequence number (starting at 1). A router
-    /// fronting `n` shards remaps it to `seq * (n + 1) + stream` the
-    /// same way it remaps job IDs — `stream` is the shard index, with
-    /// the router's own journal as stream `n` — so merged sequence
-    /// numbers stay monotone per stream and exactly invertible.
-    pub seq: u64,
-    /// Seconds before the response was generated (age, not an absolute
-    /// stamp — ages compose across processes that share no clock).
-    pub age_seconds: f64,
-    /// Severity.
-    pub level: Level,
-    /// Emitting subsystem, e.g. `plan-store` or `watchdog`.
-    pub subsystem: String,
-    /// The event message.
-    pub message: String,
-    /// Free-form key/value payload.
-    pub fields: Vec<(String, String)>,
-}
-
-/// The journal window carried by [`Response::Events`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct EventsBody {
-    /// Events evicted from the bounded ring since startup.
-    pub dropped: u64,
-    /// The matching retained events, oldest first.
-    pub events: Vec<EventBody>,
-}
-
-/// Typed error categories carried by [`Response::Error`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The frame was not a valid request.
-    BadRequest,
-    /// The request's `"v"` does not match the daemon's protocol version.
-    VersionMismatch,
-    /// The frame exceeded [`MAX_FRAME`] bytes.
-    Oversized,
-    /// The named backend does not resolve.
-    UnknownBackend,
-    /// The named mapper does not resolve.
-    UnknownMapper,
-    /// The inline QASM failed to parse or convert.
-    QasmError,
-    /// The circuit needs more qubits than the device has.
-    DeviceTooSmall,
-    /// The admission queue is full.
-    QueueFull,
-    /// The polled ID was never assigned or its result was evicted.
-    UnknownId,
-    /// The daemon is shutting down and no longer accepts work.
-    ShuttingDown,
-    /// The mapper failed or produced an unverifiable routing.
-    MappingFailed,
-    /// The server is at its live-connection cap; retry later. (Additive
-    /// spelling — pre-fleet daemons never emit it.)
-    Busy,
-    /// The router could not reach the shard that owns this request.
-    /// (Additive spelling — only `qlosure-router` emits it.)
-    ShardUnavailable,
-}
-
-impl ErrorCode {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::VersionMismatch => "version-mismatch",
-            ErrorCode::Oversized => "oversized",
-            ErrorCode::UnknownBackend => "unknown-backend",
-            ErrorCode::UnknownMapper => "unknown-mapper",
-            ErrorCode::QasmError => "qasm-error",
-            ErrorCode::DeviceTooSmall => "device-too-small",
-            ErrorCode::QueueFull => "queue-full",
-            ErrorCode::UnknownId => "unknown-id",
-            ErrorCode::ShuttingDown => "shutting-down",
-            ErrorCode::MappingFailed => "mapping-failed",
-            ErrorCode::Busy => "busy",
-            ErrorCode::ShardUnavailable => "shard-unavailable",
-        }
+wire_body! {
+    /// One shard's slice of a [`Response::MetricsHistory`]: its retained
+    /// sample window plus the rates computed over it. A lone daemon reports
+    /// exactly one series (shard 0); a router reports one per shard, with
+    /// `shard` relabeled to the fleet index.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SeriesBody {
+        /// Fleet shard index (0 for an unfronted daemon).
+        req shard: u64,
+        /// The retained window, oldest first, aligned by `index`.
+        req samples: Vec<SampleBody>,
+        /// Rates over this window.
+        req rates: RatesBody,
     }
+}
 
-    /// Parses the wire spelling.
-    pub fn from_wire(s: &str) -> Option<ErrorCode> {
-        [
-            ErrorCode::BadRequest,
-            ErrorCode::VersionMismatch,
-            ErrorCode::Oversized,
-            ErrorCode::UnknownBackend,
-            ErrorCode::UnknownMapper,
-            ErrorCode::QasmError,
-            ErrorCode::DeviceTooSmall,
-            ErrorCode::QueueFull,
-            ErrorCode::UnknownId,
-            ErrorCode::ShuttingDown,
-            ErrorCode::MappingFailed,
-            ErrorCode::Busy,
-            ErrorCode::ShardUnavailable,
-        ]
-        .into_iter()
-        .find(|c| c.as_str() == s)
+wire_body! {
+    /// The metrics time-series window carried by
+    /// [`Response::MetricsHistory`].
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct HistoryBody {
+        /// Seconds between consecutive samples (the daemon's `--obs-sample`).
+        req sample_seconds: f64,
+        /// Per-shard series, ordered by shard index.
+        req series: Vec<SeriesBody>,
+    }
+}
+
+wire_body! {
+    /// One journal event carried by [`Response::Events`].
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct EventBody {
+        /// Monotone per-daemon sequence number (starting at 1). A router
+        /// fronting `n` shards remaps it to `seq * (n + 1) + stream` the
+        /// same way it remaps job IDs — `stream` is the shard index, with
+        /// the router's own journal as stream `n` — so merged sequence
+        /// numbers stay monotone per stream and exactly invertible.
+        req seq: u64,
+        /// Seconds before the response was generated (age, not an absolute
+        /// stamp — ages compose across processes that share no clock).
+        req age_seconds: f64,
+        /// Severity.
+        req level: Level,
+        /// Emitting subsystem, e.g. `plan-store` or `watchdog`.
+        req subsystem: String,
+        /// The event message.
+        req message: String,
+        /// Free-form key/value payload.
+        omit fields: Vec<(String, String)>,
+    }
+}
+
+wire_body! {
+    /// The journal window carried by [`Response::Events`].
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct EventsBody {
+        /// Events evicted from the bounded ring since startup.
+        req dropped: u64,
+        /// The matching retained events, oldest first.
+        req events: Vec<EventBody>,
+    }
+}
+
+wire_enum! {
+    /// Typed error categories carried by [`Response::Error`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// The frame was not a valid request.
+        BadRequest = "bad-request",
+        /// The request's `"v"` does not match the daemon's protocol version.
+        VersionMismatch = "version-mismatch",
+        /// The frame exceeded [`MAX_FRAME`] bytes.
+        Oversized = "oversized",
+        /// The named backend does not resolve.
+        UnknownBackend = "unknown-backend",
+        /// The named mapper does not resolve.
+        UnknownMapper = "unknown-mapper",
+        /// The inline QASM failed to parse or convert.
+        QasmError = "qasm-error",
+        /// The circuit needs more qubits than the device has.
+        DeviceTooSmall = "device-too-small",
+        /// The admission queue is full.
+        QueueFull = "queue-full",
+        /// The polled ID was never assigned or its result was evicted.
+        UnknownId = "unknown-id",
+        /// The daemon is shutting down and no longer accepts work.
+        ShuttingDown = "shutting-down",
+        /// The mapper failed or produced an unverifiable routing.
+        MappingFailed = "mapping-failed",
+        /// The server is at its live-connection cap; retry later. (Additive
+        /// spelling — pre-fleet daemons never emit it.)
+        Busy = "busy",
+        /// The router could not reach the shard that owns this request.
+        /// (Additive spelling — only `qlosure-router` emits it.)
+        ShardUnavailable = "shard-unavailable",
     }
 }
 
@@ -883,70 +1012,72 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// A daemon→client frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// The job was admitted under this ID.
-    Submitted {
-        /// Request ID for later polling.
-        id: u64,
-    },
-    /// The job is still queued or running.
-    Pending {
-        /// The polled ID.
-        id: u64,
-        /// `true` once the job left the admission queue toward the
-        /// workers (running or about to run — past the point where
-        /// priority can reorder it).
-        running: bool,
-    },
-    /// The job finished and verified.
-    Done {
-        /// The polled ID.
-        id: u64,
-        /// The result summary.
-        summary: Summary,
-    },
-    /// The job ran but failed (mapper error or verification failure).
-    Failed {
-        /// The polled ID.
-        id: u64,
-        /// Human-readable failure.
-        message: String,
-    },
-    /// Daemon counters.
-    Stats(StatsBody),
-    /// The full observability export (additive op; see
-    /// [`Request::Metrics`]).
-    Metrics(MetricsBody),
-    /// The metrics time-series window (additive op; see
-    /// [`Request::MetricsHistory`]).
-    MetricsHistory(HistoryBody),
-    /// The journal window (additive op; see [`Request::Events`]).
-    Events(EventsBody),
-    /// A completed job's span tree (additive op; see [`Request::Trace`]).
-    Trace {
-        /// The polled ID.
-        id: u64,
-        /// The trace identity as 16 lowercase hex digits, generated at
-        /// admission and preserved verbatim by any router that wraps the
-        /// tree — what correlates a stitched trace across the fleet.
-        trace_id: String,
-        /// The span tree, rooted at the job's root span.
-        root: SpanNode,
-    },
-    /// Acknowledgement of a shutdown request.
-    ShuttingDown {
-        /// Jobs still queued or in flight that will drain before exit.
-        pending: u64,
-    },
-    /// A typed request-level error.
-    Error {
-        /// Machine-readable category.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
+wire_frames! {
+    /// A daemon→client frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response ("response") {
+        /// The job was admitted under this ID.
+        Submitted = "submitted" {
+            /// Request ID for later polling.
+            req id: u64,
+        },
+        /// The job is still queued or running.
+        Pending = "pending" {
+            /// The polled ID.
+            req id: u64,
+            /// `true` once the job left the admission queue toward the
+            /// workers (running or about to run — past the point where
+            /// priority can reorder it).
+            req running: bool,
+        },
+        /// The job finished and verified.
+        Done = "done" {
+            /// The polled ID.
+            req id: u64,
+            /// The result summary.
+            req summary: Summary,
+        },
+        /// The job ran but failed (mapper error or verification failure).
+        Failed = "failed" {
+            /// The polled ID.
+            req id: u64,
+            /// Human-readable failure.
+            req message: String,
+        },
+        /// Daemon counters, flattened into the frame.
+        Stats(stats: StatsBody) = "stats",
+        /// The full observability export (additive op; see
+        /// [`Request::Metrics`]).
+        Metrics(metrics: MetricsBody) = "metrics",
+        /// The metrics time-series window (additive op; see
+        /// [`Request::MetricsHistory`]).
+        MetricsHistory(history: HistoryBody) = "metrics-history",
+        /// The journal window (additive op; see [`Request::Events`]).
+        Events(events: EventsBody) = "events",
+        /// A completed job's span tree (additive op; see [`Request::Trace`]).
+        Trace = "trace" {
+            /// The polled ID.
+            req id: u64,
+            /// The trace identity as 16 lowercase hex digits, generated at
+            /// admission and preserved verbatim by any router that wraps the
+            /// tree — what correlates a stitched trace across the fleet.
+            req trace_id: String,
+            /// The span tree, rooted at the job's root span.
+            req root: SpanNode,
+        },
+        /// Acknowledgement of a shutdown request.
+        ShuttingDown = "shutting-down" {
+            /// Jobs still queued or in flight that will drain before exit.
+            req pending: u64,
+        },
+        /// A typed request-level error.
+        Error = "error" {
+            /// Machine-readable category.
+            req code: ErrorCode,
+            /// Human-readable detail.
+            req message: String,
+        },
+    }
 }
 
 /// Why a frame failed to decode.
@@ -1005,353 +1136,143 @@ impl std::error::Error for ProtoError {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// Codec
 // ---------------------------------------------------------------------------
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+/// A value with one JSON spelling, read and written by the field tables.
+trait Wire: Sized {
+    /// The value's JSON form.
+    fn to_json(&self) -> Json;
 
-fn num_u64(x: u64) -> Json {
-    // Protocol integers stay far below 2^53; debug-assert the invariant.
-    debug_assert!(x <= (1 << 53));
-    Json::Num(x as f64)
+    /// Reads the value back from `value`, the member named `name` (which
+    /// every error names).
+    fn from_json(value: &Json, name: &str) -> Result<Self, ProtoError>;
 }
-
-/// A millisecond count, which may exceed 2^53 (a client's "no deadline"
-/// is `u64::MAX`): encoded as the nearest double, read back by
-/// [`millis_field`].
-fn num_millis(x: u64) -> Json {
-    Json::Num(x as f64)
-}
-
-fn versioned(op: &str, mut rest: Vec<(&str, Json)>) -> Json {
-    let mut members = vec![
-        ("v", num_u64(PROTOCOL_VERSION)),
-        ("op", Json::Str(op.to_string())),
-    ];
-    members.append(&mut rest);
-    obj(members)
-}
-
-/// Encodes a request as one JSON line (no trailing newline).
-///
-/// # Errors
-///
-/// [`json::EncodeError`] when the request carries a non-finite number —
-/// JSON cannot represent NaN/±infinity, and emitting a lossy stand-in
-/// would break the `parse(encode(x)) == x` fixed point.
-pub fn encode_request(request: &Request) -> Result<String, json::EncodeError> {
-    let value = match request {
-        Request::Submit {
-            backend,
-            mapper,
-            qasm,
-            priority,
-            fidelity,
-            strategy,
-            trace,
-        } => {
-            let mut members = vec![
-                ("backend", Json::Str(backend.clone())),
-                ("mapper", Json::Str(mapper.clone())),
-                ("qasm", Json::Str(qasm.clone())),
-                ("priority", Json::Str(priority.as_str().to_string())),
-                ("fidelity", Json::Bool(*fidelity)),
-                ("strategy", Json::Str(strategy.as_str().to_string())),
-            ];
-            // Additive field: only emitted when set, so pre-trace
-            // daemons never see it.
-            if *trace {
-                members.push(("trace", Json::Bool(true)));
-            }
-            versioned("submit", members)
-        }
-        Request::Poll { id } => versioned("poll", vec![("id", num_u64(*id))]),
-        Request::Wait { id, timeout_ms } => versioned(
-            "wait",
-            vec![
-                ("id", num_u64(*id)),
-                ("timeout_ms", num_millis(*timeout_ms)),
-            ],
-        ),
-        Request::Trace { id } => versioned("trace", vec![("id", num_u64(*id))]),
-        Request::Stats => versioned("stats", vec![]),
-        Request::Metrics => versioned("metrics", vec![]),
-        Request::MetricsHistory => versioned("metrics-history", vec![]),
-        Request::Events {
-            min_level,
-            after_seq,
-        } => versioned(
-            "events",
-            vec![
-                ("min_level", Json::Str(min_level.as_str().to_string())),
-                ("after_seq", num_u64(*after_seq)),
-            ],
-        ),
-        Request::Shutdown => versioned("shutdown", vec![]),
-    };
-    value.encode()
-}
-
-/// The counter block, shared by the `stats` response and the `stats`
-/// field of the `metrics` response.
-fn stats_members(stats: &StatsBody) -> Vec<(&'static str, Json)> {
-    vec![
-        ("protocol", num_u64(stats.protocol)),
-        ("workers", num_u64(stats.workers)),
-        ("queue_depth", num_u64(stats.queue_depth)),
-        ("submitted", num_u64(stats.submitted)),
-        ("completed", num_u64(stats.completed)),
-        ("rejected", num_u64(stats.rejected)),
-        ("failed", num_u64(stats.failed)),
-        ("distance_hits", num_u64(stats.distance_hits)),
-        ("distance_misses", num_u64(stats.distance_misses)),
-        ("closure_hits", num_u64(stats.closure_hits)),
-        ("closure_misses", num_u64(stats.closure_misses)),
-        ("weighted_hits", num_u64(stats.weighted_hits)),
-        ("weighted_misses", num_u64(stats.weighted_misses)),
-        ("subroute_hits", num_u64(stats.subroute_hits)),
-        ("subroute_misses", num_u64(stats.subroute_misses)),
-        ("plan_exact_hits", num_u64(stats.plan_exact_hits)),
-        ("plan_canonical_hits", num_u64(stats.plan_canonical_hits)),
-        ("plan_disk_hits", num_u64(stats.plan_disk_hits)),
-        ("plan_disk_writes", num_u64(stats.plan_disk_writes)),
-    ]
-}
-
-fn encode_span(node: &SpanNode) -> Json {
-    let mut members = vec![
-        ("name", Json::Str(node.name.clone())),
-        ("start_ns", num_u64(node.start_ns)),
-        ("end_ns", num_u64(node.end_ns)),
-    ];
-    if !node.notes.is_empty() {
-        members.push((
-            "notes",
-            Json::Obj(
-                node.notes
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
-    }
-    if !node.children.is_empty() {
-        members.push((
-            "children",
-            Json::Arr(node.children.iter().map(encode_span).collect()),
-        ));
-    }
-    obj(members)
-}
-
-fn encode_summary(s: &Summary) -> Json {
-    let layout = |l: &[u32]| Json::Arr(l.iter().map(|&p| num_u64(u64::from(p))).collect());
-    let mut members = vec![
-        ("swaps", num_u64(s.swaps)),
-        ("depth", num_u64(s.depth)),
-        ("qops", num_u64(s.qops)),
-        ("initial_layout", layout(&s.initial_layout)),
-        ("final_layout", layout(&s.final_layout)),
-        ("fingerprint", Json::Str(s.fingerprint.clone())),
-        ("pipeline", Json::Str(s.pipeline.clone())),
-        (
-            "pass_seconds",
-            Json::Obj(
-                s.pass_seconds
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                    .collect(),
-            ),
-        ),
-        ("seconds", Json::Num(s.seconds)),
-        ("queue_seconds", Json::Num(s.queue_seconds)),
-        ("seq", num_u64(s.seq)),
-        ("verified", Json::Bool(s.verified)),
-    ];
-    if let Some(ppm) = s.success_ppm {
-        members.push(("success_ppm", Json::Num(ppm as f64)));
-    }
-    obj(members)
-}
-
-fn encode_sample(s: &SampleBody) -> Json {
-    obj(vec![
-        ("index", num_u64(s.index)),
-        ("uptime_seconds", Json::Num(s.uptime_seconds)),
-        ("submitted", num_u64(s.submitted)),
-        ("completed", num_u64(s.completed)),
-        ("failed", num_u64(s.failed)),
-        ("rejected", num_u64(s.rejected)),
-        ("queue_depth", num_u64(s.queue_depth)),
-        ("jobs_inflight", num_u64(s.jobs_inflight)),
-        ("queue_p99", Json::Num(s.queue_p99)),
-        ("distance_hits", num_u64(s.distance_hits)),
-        ("distance_misses", num_u64(s.distance_misses)),
-        ("plan_exact_hits", num_u64(s.plan_exact_hits)),
-        ("plan_canonical_hits", num_u64(s.plan_canonical_hits)),
-        ("plan_disk_hits", num_u64(s.plan_disk_hits)),
-        ("subroute_hits", num_u64(s.subroute_hits)),
-        ("subroute_misses", num_u64(s.subroute_misses)),
-        ("events_dropped", num_u64(s.events_dropped)),
-        ("trace_drops", num_u64(s.trace_drops)),
-    ])
-}
-
-fn encode_series(series: &SeriesBody) -> Json {
-    obj(vec![
-        ("shard", num_u64(series.shard)),
-        (
-            "samples",
-            Json::Arr(series.samples.iter().map(encode_sample).collect()),
-        ),
-        (
-            "rates",
-            obj(vec![
-                ("window_seconds", Json::Num(series.rates.window_seconds)),
-                ("jobs_per_second", Json::Num(series.rates.jobs_per_second)),
-                ("cache_hit_rate", Json::Num(series.rates.cache_hit_rate)),
-                (
-                    "queue_depth_trend",
-                    Json::Num(series.rates.queue_depth_trend),
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn encode_event(event: &EventBody) -> Json {
-    let mut members = vec![
-        ("seq", num_u64(event.seq)),
-        ("age_seconds", Json::Num(event.age_seconds)),
-        ("level", Json::Str(event.level.as_str().to_string())),
-        ("subsystem", Json::Str(event.subsystem.clone())),
-        ("message", Json::Str(event.message.clone())),
-    ];
-    if !event.fields.is_empty() {
-        members.push((
-            "fields",
-            Json::Obj(
-                event
-                    .fields
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
-    }
-    obj(members)
-}
-
-/// Encodes a response as one JSON line (no trailing newline).
-///
-/// # Errors
-///
-/// [`json::EncodeError`] when the response carries a non-finite number
-/// (e.g. a NaN timing in a [`Summary`]); see [`encode_request`].
-pub fn encode_response(response: &Response) -> Result<String, json::EncodeError> {
-    let value = match response {
-        Response::Submitted { id } => versioned("submitted", vec![("id", num_u64(*id))]),
-        Response::Pending { id, running } => versioned(
-            "pending",
-            vec![("id", num_u64(*id)), ("running", Json::Bool(*running))],
-        ),
-        Response::Done { id, summary } => versioned(
-            "done",
-            vec![("id", num_u64(*id)), ("summary", encode_summary(summary))],
-        ),
-        Response::Failed { id, message } => versioned(
-            "failed",
-            vec![
-                ("id", num_u64(*id)),
-                ("message", Json::Str(message.clone())),
-            ],
-        ),
-        Response::Stats(stats) => versioned("stats", stats_members(stats)),
-        Response::Metrics(metrics) => versioned(
-            "metrics",
-            vec![
-                ("stats", obj(stats_members(&metrics.stats))),
-                ("queue_p50", Json::Num(metrics.queue_p50)),
-                ("queue_p90", Json::Num(metrics.queue_p90)),
-                ("queue_p99", Json::Num(metrics.queue_p99)),
-                ("queue_max", Json::Num(metrics.queue_max)),
-                ("queue_samples", num_u64(metrics.queue_samples)),
-                ("uptime_seconds", Json::Num(metrics.uptime_seconds)),
-                ("jobs_inflight", num_u64(metrics.jobs_inflight)),
-                ("events_dropped", num_u64(metrics.events_dropped)),
-                ("trace_drops", num_u64(metrics.trace_drops)),
-                (
-                    "passes",
-                    Json::Obj(
-                        metrics
-                            .passes
-                            .iter()
-                            .map(|(label, runs, total)| {
-                                (
-                                    label.clone(),
-                                    Json::Arr(vec![num_u64(*runs), Json::Num(*total)]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-        Response::MetricsHistory(history) => versioned(
-            "metrics-history",
-            vec![
-                ("sample_seconds", Json::Num(history.sample_seconds)),
-                (
-                    "series",
-                    Json::Arr(history.series.iter().map(encode_series).collect()),
-                ),
-            ],
-        ),
-        Response::Events(events) => versioned(
-            "events",
-            vec![
-                ("dropped", num_u64(events.dropped)),
-                (
-                    "events",
-                    Json::Arr(events.events.iter().map(encode_event).collect()),
-                ),
-            ],
-        ),
-        Response::Trace { id, trace_id, root } => versioned(
-            "trace",
-            vec![
-                ("id", num_u64(*id)),
-                ("trace_id", Json::Str(trace_id.clone())),
-                ("root", encode_span(root)),
-            ],
-        ),
-        Response::ShuttingDown { pending } => {
-            versioned("shutting-down", vec![("pending", num_u64(*pending))])
-        }
-        Response::Error { code, message } => versioned(
-            "error",
-            vec![
-                ("code", Json::Str(code.as_str().to_string())),
-                ("message", Json::Str(message.clone())),
-            ],
-        ),
-    };
-    value.encode()
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
 
 fn shape(message: impl Into<String>) -> ProtoError {
     ProtoError::Shape(message.into())
+}
+
+/// The error for field `name` holding the wrong kind of value.
+fn expected(name: &str, what: &str) -> ProtoError {
+    shape(format!("field `{name}` must be {what}"))
+}
+
+/// How a field table reads one member: its value and its name.
+type Read<T> = fn(&Json, &str) -> Result<T, ProtoError>;
+
+/// Reads `req` field `name`, which must be present.
+fn req<T>(value: &Json, name: &str, read: Read<T>) -> Result<T, ProtoError> {
+    let member = value
+        .get(name)
+        .ok_or_else(|| shape(format!("missing field `{name}`")))?;
+    read(member, name)
+}
+
+/// Reads `opt` or `omit` field `name`: absent decodes to the default, so
+/// frames from peers that predate the field still parse.
+fn opt<T: Default>(value: &Json, name: &str, read: Read<T>) -> Result<T, ProtoError> {
+    value
+        .get(name)
+        .map_or_else(|| Ok(T::default()), |x| read(x, name))
+}
+
+wire_scalar! {
+    // Protocol integers stay far below 2^53; debug-assert the invariant.
+    u64: |x| { debug_assert!(*x <= 1 << 53); Json::Num(*x as f64) },
+        |v| v.as_u64(), "a non-negative integer";
+    // A layout slot: one physical qubit index.
+    u32: |x| Json::Num(f64::from(*x)),
+        |v| v.as_u64().and_then(|p| u32::try_from(p).ok()), "a list of physical qubit indices";
+    f64: |x| Json::Num(*x), |v| v.as_f64(), "a number";
+    bool: |x| Json::Bool(*x), |v| v.as_bool(), "a boolean";
+    String: |x| Json::Str(x.clone()), |v| v.as_str().map(String::from), "a string";
+    // Only `omit` fields hold one, so `None` never reaches the wire.
+    Option<i64>: |x| x.map_or(Json::Null, |n| Json::Num(n as f64)),
+        |v| v.as_i64().map(Some), "an integer";
+    Level: |x| Json::Str(x.as_str().to_string()),
+        |v| v.as_str().and_then(Level::parse), "one of `debug` `info` `warn` `error`";
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::to_json).collect())
+    }
+
+    fn from_json(value: &Json, name: &str) -> Result<Vec<T>, ProtoError> {
+        value
+            .as_arr()
+            .ok_or_else(|| expected(name, "an array"))?
+            .iter()
+            .map(|x| T::from_json(x, name))
+            .collect()
+    }
+}
+
+/// Label-keyed values (`pass_seconds`, span `notes`, event `fields`): one
+/// object member per pair, in order.
+impl<V: Wire> Wire for Vec<(String, V)> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+
+    fn from_json(value: &Json, name: &str) -> Result<Vec<(String, V)>, ProtoError> {
+        value
+            .as_obj()
+            .ok_or_else(|| expected(name, "an object"))?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), V::from_json(v, name)?)))
+            .collect()
+    }
+}
+
+/// Per-pass aggregates: `{label: [runs, total_seconds]}`.
+impl Wire for Vec<(String, u64, f64)> {
+    fn to_json(&self) -> Json {
+        let pair = |runs: &u64, total: &f64| Json::Arr(vec![runs.to_json(), total.to_json()]);
+        Json::Obj(
+            self.iter()
+                .map(|(label, runs, total)| (label.clone(), pair(runs, total)))
+                .collect(),
+        )
+    }
+
+    fn from_json(value: &Json, name: &str) -> Result<Vec<(String, u64, f64)>, ProtoError> {
+        let bad = || expected(name, "an object of [runs, total_seconds] pairs");
+        value
+            .as_obj()
+            .ok_or_else(bad)?
+            .iter()
+            .map(|(label, pair)| match pair.as_arr() {
+                Some([runs, total]) => Ok((
+                    label.clone(),
+                    u64::from_json(runs, name)?,
+                    f64::from_json(total, name)?,
+                )),
+                _ => Err(bad()),
+            })
+            .collect()
+    }
+}
+
+/// The spelling of `timeout_ms`: a millisecond count may pass 2^53 (a
+/// client's "no deadline" is `u64::MAX`), so it encodes as the nearest
+/// double and reads back any non-negative integral number, saturating at
+/// `u64::MAX` (so 2^64, the encoding of `u64::MAX`, decodes back to it).
+struct Millis;
+
+impl Millis {
+    fn to_json(millis: &u64) -> Json {
+        Json::Num(*millis as f64)
+    }
+
+    fn from_json(value: &Json, name: &str) -> Result<u64, ProtoError> {
+        value
+            .as_f64()
+            .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+            .map(|x| x as u64)
+            .ok_or_else(|| expected(name, "a non-negative integer"))
+    }
 }
 
 /// Decodes a frame into its JSON value, checking size and version.
@@ -1373,78 +1294,25 @@ fn decode_frame(line: &str) -> Result<Json, ProtoError> {
     Ok(value)
 }
 
-fn field<'a>(value: &'a Json, name: &str) -> Result<&'a Json, ProtoError> {
-    value
-        .get(name)
-        .ok_or_else(|| shape(format!("missing field `{name}`")))
+/// Encodes a request as one JSON line (no trailing newline).
+///
+/// # Errors
+///
+/// [`json::EncodeError`] when the request carries a non-finite number —
+/// JSON cannot represent NaN/±infinity, and emitting a lossy stand-in
+/// would break the `parse(encode(x)) == x` fixed point.
+pub fn encode_request(request: &Request) -> Result<String, json::EncodeError> {
+    request.to_frame().encode()
 }
 
-fn str_field(value: &Json, name: &str) -> Result<String, ProtoError> {
-    field(value, name)?
-        .as_str()
-        .map(ToString::to_string)
-        .ok_or_else(|| shape(format!("field `{name}` must be a string")))
-}
-
-fn u64_field(value: &Json, name: &str) -> Result<u64, ProtoError> {
-    field(value, name)?
-        .as_u64()
-        .ok_or_else(|| shape(format!("field `{name}` must be a non-negative integer")))
-}
-
-/// A millisecond count: any non-negative integral number, saturating at
-/// `u64::MAX` (so the encoding of `u64::MAX`, 2^64, decodes back to it).
-fn millis_field(value: &Json, name: &str) -> Result<u64, ProtoError> {
-    field(value, name)?
-        .as_f64()
-        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-        .map(|x| x as u64)
-        .ok_or_else(|| shape(format!("field `{name}` must be a non-negative integer")))
-}
-
-fn f64_field(value: &Json, name: &str) -> Result<f64, ProtoError> {
-    field(value, name)?
-        .as_f64()
-        .ok_or_else(|| shape(format!("field `{name}` must be a number")))
-}
-
-fn bool_field(value: &Json, name: &str) -> Result<bool, ProtoError> {
-    field(value, name)?
-        .as_bool()
-        .ok_or_else(|| shape(format!("field `{name}` must be a boolean")))
-}
-
-/// Additive integer field: absent decodes as 0 (so stats responses from
-/// daemons predating the field still parse), present must be an integer.
-fn opt_u64_field(value: &Json, name: &str) -> Result<u64, ProtoError> {
-    match value.get(name) {
-        None => Ok(0),
-        Some(x) => x
-            .as_u64()
-            .ok_or_else(|| shape(format!("field `{name}` must be a non-negative integer"))),
-    }
-}
-
-/// Additive number field: absent decodes as 0.0, present must be a
-/// number.
-fn opt_f64_field(value: &Json, name: &str) -> Result<f64, ProtoError> {
-    match value.get(name) {
-        None => Ok(0.0),
-        Some(x) => x
-            .as_f64()
-            .ok_or_else(|| shape(format!("field `{name}` must be a number"))),
-    }
-}
-
-/// Additive boolean field: absent decodes as `false`, present must be a
-/// boolean.
-fn opt_bool_field(value: &Json, name: &str) -> Result<bool, ProtoError> {
-    match value.get(name) {
-        None => Ok(false),
-        Some(x) => x
-            .as_bool()
-            .ok_or_else(|| shape(format!("field `{name}` must be a boolean"))),
-    }
+/// Encodes a response as one JSON line (no trailing newline).
+///
+/// # Errors
+///
+/// [`json::EncodeError`] when the response carries a non-finite number
+/// (e.g. a NaN timing in a [`Summary`]); see [`encode_request`].
+pub fn encode_response(response: &Response) -> Result<String, json::EncodeError> {
+    response.to_frame().encode()
 }
 
 /// Parses one request frame.
@@ -1454,270 +1322,7 @@ fn opt_bool_field(value: &Json, name: &str) -> Result<bool, ProtoError> {
 /// A typed [`ProtoError`] for oversized, malformed, version-mismatched or
 /// structurally invalid frames; arbitrary input never panics.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let value = decode_frame(line)?;
-    let op = str_field(&value, "op")?;
-    match op.as_str() {
-        "submit" => {
-            let priority_text = str_field(&value, "priority")?;
-            let priority = Priority::from_wire(&priority_text)
-                .ok_or_else(|| shape(format!("unknown priority `{priority_text}`")))?;
-            // Additive field: absent means flat (pre-strategy clients).
-            let strategy = match value.get("strategy") {
-                None => Strategy::Flat,
-                Some(x) => {
-                    let text = x
-                        .as_str()
-                        .ok_or_else(|| shape("field `strategy` must be a string"))?;
-                    Strategy::from_wire(text)
-                        .ok_or_else(|| shape(format!("unknown strategy `{text}`")))?
-                }
-            };
-            Ok(Request::Submit {
-                backend: str_field(&value, "backend")?,
-                mapper: str_field(&value, "mapper")?,
-                qasm: str_field(&value, "qasm")?,
-                priority,
-                fidelity: bool_field(&value, "fidelity")?,
-                strategy,
-                // Additive field: absent means no trace retention.
-                trace: opt_bool_field(&value, "trace")?,
-            })
-        }
-        "poll" => Ok(Request::Poll {
-            id: u64_field(&value, "id")?,
-        }),
-        "wait" => Ok(Request::Wait {
-            id: u64_field(&value, "id")?,
-            timeout_ms: millis_field(&value, "timeout_ms")?,
-        }),
-        "trace" => Ok(Request::Trace {
-            id: u64_field(&value, "id")?,
-        }),
-        "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
-        "metrics-history" => Ok(Request::MetricsHistory),
-        "events" => {
-            // Both fields are additive-style optional: a bare `events`
-            // frame means "everything retained, any level".
-            let min_level = match value.get("min_level") {
-                None => Level::Debug,
-                Some(x) => {
-                    let text = x
-                        .as_str()
-                        .ok_or_else(|| shape("field `min_level` must be a string"))?;
-                    Level::parse(text).ok_or_else(|| shape(format!("unknown level `{text}`")))?
-                }
-            };
-            Ok(Request::Events {
-                min_level,
-                after_seq: opt_u64_field(&value, "after_seq")?,
-            })
-        }
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(shape(format!("unknown request op `{other}`"))),
-    }
-}
-
-fn parse_layout(value: &Json, name: &str) -> Result<Vec<u32>, ProtoError> {
-    field(value, name)?
-        .as_arr()
-        .ok_or_else(|| shape(format!("field `{name}` must be an array")))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .filter(|&p| p <= u64::from(u32::MAX))
-                .map(|p| p as u32)
-                .ok_or_else(|| shape(format!("field `{name}` must hold physical qubit indices")))
-        })
-        .collect()
-}
-
-fn parse_summary(value: &Json) -> Result<Summary, ProtoError> {
-    let passes = field(value, "pass_seconds")?
-        .as_obj()
-        .ok_or_else(|| shape("field `pass_seconds` must be an object"))?
-        .iter()
-        .map(|(k, v)| {
-            v.as_f64()
-                .map(|s| (k.clone(), s))
-                .ok_or_else(|| shape("pass timings must be numbers"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let success_ppm = match value.get("success_ppm") {
-        None => None,
-        Some(x) => Some(
-            x.as_i64()
-                .ok_or_else(|| shape("field `success_ppm` must be an integer"))?,
-        ),
-    };
-    Ok(Summary {
-        swaps: u64_field(value, "swaps")?,
-        depth: u64_field(value, "depth")?,
-        qops: u64_field(value, "qops")?,
-        initial_layout: parse_layout(value, "initial_layout")?,
-        final_layout: parse_layout(value, "final_layout")?,
-        fingerprint: str_field(value, "fingerprint")?,
-        pipeline: str_field(value, "pipeline")?,
-        pass_seconds: passes,
-        seconds: f64_field(value, "seconds")?,
-        queue_seconds: f64_field(value, "queue_seconds")?,
-        seq: u64_field(value, "seq")?,
-        verified: bool_field(value, "verified")?,
-        success_ppm,
-    })
-}
-
-/// Parses a counter block — the top level of a `stats` response or the
-/// `stats` member of a `metrics` response.
-fn parse_stats(value: &Json) -> Result<StatsBody, ProtoError> {
-    Ok(StatsBody {
-        protocol: u64_field(value, "protocol")?,
-        workers: u64_field(value, "workers")?,
-        queue_depth: u64_field(value, "queue_depth")?,
-        submitted: u64_field(value, "submitted")?,
-        completed: u64_field(value, "completed")?,
-        rejected: u64_field(value, "rejected")?,
-        failed: u64_field(value, "failed")?,
-        distance_hits: u64_field(value, "distance_hits")?,
-        distance_misses: u64_field(value, "distance_misses")?,
-        closure_hits: u64_field(value, "closure_hits")?,
-        closure_misses: u64_field(value, "closure_misses")?,
-        weighted_hits: opt_u64_field(value, "weighted_hits")?,
-        weighted_misses: opt_u64_field(value, "weighted_misses")?,
-        subroute_hits: opt_u64_field(value, "subroute_hits")?,
-        subroute_misses: opt_u64_field(value, "subroute_misses")?,
-        plan_exact_hits: opt_u64_field(value, "plan_exact_hits")?,
-        plan_canonical_hits: opt_u64_field(value, "plan_canonical_hits")?,
-        plan_disk_hits: opt_u64_field(value, "plan_disk_hits")?,
-        plan_disk_writes: opt_u64_field(value, "plan_disk_writes")?,
-    })
-}
-
-/// Parses the `passes` object of a `metrics` response: label →
-/// `[runs, total_seconds]`.
-fn parse_passes(value: &Json) -> Result<Vec<(String, u64, f64)>, ProtoError> {
-    field(value, "passes")?
-        .as_obj()
-        .ok_or_else(|| shape("field `passes` must be an object"))?
-        .iter()
-        .map(|(label, entry)| {
-            let pair = entry
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| shape("pass aggregates must be [runs, total_seconds] pairs"))?;
-            let runs = pair[0]
-                .as_u64()
-                .ok_or_else(|| shape("pass runs must be a non-negative integer"))?;
-            let total = pair[1]
-                .as_f64()
-                .ok_or_else(|| shape("pass total seconds must be a number"))?;
-            Ok((label.clone(), runs, total))
-        })
-        .collect()
-}
-
-fn parse_sample(value: &Json) -> Result<SampleBody, ProtoError> {
-    Ok(SampleBody {
-        index: u64_field(value, "index")?,
-        uptime_seconds: f64_field(value, "uptime_seconds")?,
-        submitted: u64_field(value, "submitted")?,
-        completed: u64_field(value, "completed")?,
-        failed: u64_field(value, "failed")?,
-        rejected: u64_field(value, "rejected")?,
-        queue_depth: u64_field(value, "queue_depth")?,
-        jobs_inflight: u64_field(value, "jobs_inflight")?,
-        queue_p99: f64_field(value, "queue_p99")?,
-        distance_hits: u64_field(value, "distance_hits")?,
-        distance_misses: u64_field(value, "distance_misses")?,
-        plan_exact_hits: u64_field(value, "plan_exact_hits")?,
-        plan_canonical_hits: u64_field(value, "plan_canonical_hits")?,
-        plan_disk_hits: u64_field(value, "plan_disk_hits")?,
-        subroute_hits: u64_field(value, "subroute_hits")?,
-        subroute_misses: u64_field(value, "subroute_misses")?,
-        events_dropped: opt_u64_field(value, "events_dropped")?,
-        trace_drops: opt_u64_field(value, "trace_drops")?,
-    })
-}
-
-fn parse_series(value: &Json) -> Result<SeriesBody, ProtoError> {
-    let samples = field(value, "samples")?
-        .as_arr()
-        .ok_or_else(|| shape("field `samples` must be an array"))?
-        .iter()
-        .map(parse_sample)
-        .collect::<Result<Vec<_>, _>>()?;
-    let rates = field(value, "rates")?;
-    Ok(SeriesBody {
-        shard: u64_field(value, "shard")?,
-        samples,
-        rates: RatesBody {
-            window_seconds: f64_field(rates, "window_seconds")?,
-            jobs_per_second: f64_field(rates, "jobs_per_second")?,
-            cache_hit_rate: f64_field(rates, "cache_hit_rate")?,
-            queue_depth_trend: f64_field(rates, "queue_depth_trend")?,
-        },
-    })
-}
-
-fn parse_event(value: &Json) -> Result<EventBody, ProtoError> {
-    let level_text = str_field(value, "level")?;
-    let level =
-        Level::parse(&level_text).ok_or_else(|| shape(format!("unknown level `{level_text}`")))?;
-    let fields = match value.get("fields") {
-        None => Vec::new(),
-        Some(x) => x
-            .as_obj()
-            .ok_or_else(|| shape("field `fields` must be an object"))?
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| shape("event fields must be strings"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    Ok(EventBody {
-        seq: u64_field(value, "seq")?,
-        age_seconds: f64_field(value, "age_seconds")?,
-        level,
-        subsystem: str_field(value, "subsystem")?,
-        message: str_field(value, "message")?,
-        fields,
-    })
-}
-
-/// Parses one span-tree node. Recursion is bounded by the JSON parser's
-/// depth limit, which already rejected pathologically nested frames.
-fn parse_span(value: &Json) -> Result<SpanNode, ProtoError> {
-    let notes = match value.get("notes") {
-        None => Vec::new(),
-        Some(x) => x
-            .as_obj()
-            .ok_or_else(|| shape("field `notes` must be an object"))?
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| shape("span notes must be strings"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let children = match value.get("children") {
-        None => Vec::new(),
-        Some(x) => x
-            .as_arr()
-            .ok_or_else(|| shape("field `children` must be an array"))?
-            .iter()
-            .map(parse_span)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    Ok(SpanNode {
-        name: str_field(value, "name")?,
-        start_ns: u64_field(value, "start_ns")?,
-        end_ns: u64_field(value, "end_ns")?,
-        notes,
-        children,
-    })
+    Request::from_frame(&decode_frame(line)?)
 }
 
 /// Parses one response frame.
@@ -1727,75 +1332,7 @@ fn parse_span(value: &Json) -> Result<SpanNode, ProtoError> {
 /// A typed [`ProtoError`], mirroring [`parse_request`]; arbitrary input
 /// never panics.
 pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
-    let value = decode_frame(line)?;
-    let op = str_field(&value, "op")?;
-    match op.as_str() {
-        "submitted" => Ok(Response::Submitted {
-            id: u64_field(&value, "id")?,
-        }),
-        "pending" => Ok(Response::Pending {
-            id: u64_field(&value, "id")?,
-            running: bool_field(&value, "running")?,
-        }),
-        "done" => Ok(Response::Done {
-            id: u64_field(&value, "id")?,
-            summary: parse_summary(field(&value, "summary")?)?,
-        }),
-        "failed" => Ok(Response::Failed {
-            id: u64_field(&value, "id")?,
-            message: str_field(&value, "message")?,
-        }),
-        "stats" => Ok(Response::Stats(parse_stats(&value)?)),
-        "metrics" => Ok(Response::Metrics(MetricsBody {
-            stats: parse_stats(field(&value, "stats")?)?,
-            queue_p50: f64_field(&value, "queue_p50")?,
-            queue_p90: f64_field(&value, "queue_p90")?,
-            queue_p99: f64_field(&value, "queue_p99")?,
-            queue_max: f64_field(&value, "queue_max")?,
-            queue_samples: u64_field(&value, "queue_samples")?,
-            passes: parse_passes(&value)?,
-            uptime_seconds: opt_f64_field(&value, "uptime_seconds")?,
-            jobs_inflight: opt_u64_field(&value, "jobs_inflight")?,
-            events_dropped: opt_u64_field(&value, "events_dropped")?,
-            trace_drops: opt_u64_field(&value, "trace_drops")?,
-        })),
-        "metrics-history" => Ok(Response::MetricsHistory(HistoryBody {
-            sample_seconds: f64_field(&value, "sample_seconds")?,
-            series: field(&value, "series")?
-                .as_arr()
-                .ok_or_else(|| shape("field `series` must be an array"))?
-                .iter()
-                .map(parse_series)
-                .collect::<Result<Vec<_>, _>>()?,
-        })),
-        "events" => Ok(Response::Events(EventsBody {
-            dropped: u64_field(&value, "dropped")?,
-            events: field(&value, "events")?
-                .as_arr()
-                .ok_or_else(|| shape("field `events` must be an array"))?
-                .iter()
-                .map(parse_event)
-                .collect::<Result<Vec<_>, _>>()?,
-        })),
-        "trace" => Ok(Response::Trace {
-            id: u64_field(&value, "id")?,
-            trace_id: str_field(&value, "trace_id")?,
-            root: parse_span(field(&value, "root")?)?,
-        }),
-        "shutting-down" => Ok(Response::ShuttingDown {
-            pending: u64_field(&value, "pending")?,
-        }),
-        "error" => {
-            let code_text = str_field(&value, "code")?;
-            let code = ErrorCode::from_wire(&code_text)
-                .ok_or_else(|| shape(format!("unknown error code `{code_text}`")))?;
-            Ok(Response::Error {
-                code,
-                message: str_field(&value, "message")?,
-            })
-        }
-        other => Err(shape(format!("unknown response op `{other}`"))),
-    }
+    Response::from_frame(&decode_frame(line)?)
 }
 
 #[cfg(test)]
@@ -2095,6 +1632,27 @@ mod tests {
         ]
     }
 
+    /// The exact line the codec writes for every value above, requests
+    /// first: any codec change must reproduce these bytes, and decoding
+    /// each golden line must give the value back.
+    #[test]
+    fn golden_frames_are_byte_identical() {
+        let golden: Vec<&str> = include_str!("../testdata/golden_frames.ndjson")
+            .lines()
+            .collect();
+        let (requests, responses) = (all_requests(), all_responses());
+        assert_eq!(golden.len(), requests.len() + responses.len());
+        let (want_requests, want_responses) = golden.split_at(requests.len());
+        for (request, want) in requests.iter().zip(want_requests) {
+            assert_eq!(encode_request(request).unwrap(), *want);
+            assert_eq!(parse_request(want).unwrap(), *request, "{want}");
+        }
+        for (response, want) in responses.iter().zip(want_responses) {
+            assert_eq!(encode_response(response).unwrap(), *want);
+            assert_eq!(parse_response(want).unwrap(), *response, "{want}");
+        }
+    }
+
     #[test]
     fn every_request_round_trips() {
         for request in all_requests() {
@@ -2110,6 +1668,207 @@ mod tests {
             let line = encode_response(&response).unwrap();
             assert!(!line.contains('\n'), "one frame is one line: {line}");
             assert_eq!(parse_response(&line).unwrap(), response, "{line}");
+        }
+    }
+
+    /// The object at `path` inside a frame: each step names a member, and
+    /// an array steps into its first element.
+    fn object_at<'a>(value: &'a mut Json, path: &[&str]) -> &'a mut Vec<(String, Json)> {
+        match (value, path.split_first()) {
+            (Json::Arr(items), _) => object_at(&mut items[0], path),
+            (Json::Obj(members), None) => members,
+            (Json::Obj(members), Some((step, rest))) => {
+                let member = members.iter_mut().find(|(k, _)| k == step);
+                object_at(&mut member.expect("path names a member").1, rest)
+            }
+            (other, _) => panic!("no object at {path:?} in {other:?}"),
+        }
+    }
+
+    /// Strips each member of every object in a frame of every op that has
+    /// fields, one member at a time. The `opt`/`omit` fields, listed per
+    /// object with the spelling of their default (`None` for `omit`), must
+    /// decode to that default and leave the rest of the frame unchanged;
+    /// every other member is `req`, and its absence must be a typed
+    /// `bad-request` naming it.
+    #[test]
+    fn every_field_has_its_presence_policy() {
+        let zero = Some("0");
+        let stats_extras = [
+            "weighted_hits",
+            "weighted_misses",
+            "subroute_hits",
+            "subroute_misses",
+            "plan_exact_hits",
+            "plan_canonical_hits",
+            "plan_disk_hits",
+            "plan_disk_writes",
+        ]
+        .map(|name| (name, zero));
+        let stats = StatsBody {
+            weighted_hits: 21,
+            weighted_misses: 2,
+            ..demo_metrics().stats
+        };
+        let request = |r: Request| (encode_request(&r).unwrap(), true);
+        let response = |r: Response| (encode_response(&r).unwrap(), false);
+        let submit = Request::Submit {
+            backend: "aspen16".to_string(),
+            mapper: "qlosure".to_string(),
+            qasm: String::new(),
+            priority: Priority::Batch,
+            fidelity: true,
+            strategy: Strategy::Hier,
+            trace: true,
+        };
+        let trace = Response::Trace {
+            id: 4,
+            trace_id: "00ff13de00ff13de".to_string(),
+            root: demo_span_tree(),
+        };
+        let done = Response::Done {
+            id: 4,
+            summary: demo_summary(),
+        };
+        let history = Response::MetricsHistory(demo_history());
+        let events = Response::Events(demo_events());
+        // An object's `opt`/`omit` fields with the spelling of each default.
+        type Optional = Vec<(&'static str, Option<&'static str>)>;
+        let cases: Vec<((String, bool), Vec<&str>, Optional)> = vec![
+            (
+                request(submit),
+                vec![],
+                vec![("strategy", Some("\"flat\"")), ("trace", None)],
+            ),
+            (request(Request::Poll { id: 4 }), vec![], vec![]),
+            (
+                request(Request::Wait {
+                    id: 4,
+                    timeout_ms: 50,
+                }),
+                vec![],
+                vec![],
+            ),
+            (request(Request::Trace { id: 4 }), vec![], vec![]),
+            (
+                request(Request::Events {
+                    min_level: Level::Warn,
+                    after_seq: 9,
+                }),
+                vec![],
+                vec![("min_level", Some("\"debug\"")), ("after_seq", zero)],
+            ),
+            (response(Response::Submitted { id: 4 }), vec![], vec![]),
+            (
+                response(Response::Pending {
+                    id: 4,
+                    running: true,
+                }),
+                vec![],
+                vec![],
+            ),
+            (response(done.clone()), vec![], vec![]),
+            (response(done), vec!["summary"], vec![("success_ppm", None)]),
+            (
+                response(Response::Failed {
+                    id: 4,
+                    message: "router exceeded the swap bound".to_string(),
+                }),
+                vec![],
+                vec![],
+            ),
+            (
+                response(Response::Stats(stats.clone())),
+                vec![],
+                stats_extras.to_vec(),
+            ),
+            (
+                response(Response::Metrics(demo_metrics())),
+                vec![],
+                vec![
+                    ("uptime_seconds", zero),
+                    ("jobs_inflight", zero),
+                    ("events_dropped", zero),
+                    ("trace_drops", zero),
+                ],
+            ),
+            (
+                response(Response::Metrics(MetricsBody {
+                    stats,
+                    ..demo_metrics()
+                })),
+                vec!["stats"],
+                stats_extras.to_vec(),
+            ),
+            (response(history.clone()), vec![], vec![]),
+            (response(history.clone()), vec!["series"], vec![]),
+            (response(history.clone()), vec!["series", "rates"], vec![]),
+            (
+                response(history),
+                vec!["series", "samples"],
+                vec![("events_dropped", zero), ("trace_drops", zero)],
+            ),
+            (response(events.clone()), vec![], vec![]),
+            (response(events), vec!["events"], vec![("fields", None)]),
+            (response(trace.clone()), vec![], vec![]),
+            (
+                response(trace),
+                vec!["root"],
+                vec![("notes", None), ("children", None)],
+            ),
+            (
+                response(Response::ShuttingDown { pending: 2 }),
+                vec![],
+                vec![],
+            ),
+            (
+                response(Response::Error {
+                    code: ErrorCode::Busy,
+                    message: "connection limit reached".to_string(),
+                }),
+                vec![],
+                vec![],
+            ),
+        ];
+        for ((line, is_request), path, optional) in cases {
+            let reencode = |line: &str| {
+                if is_request {
+                    parse_request(line).map(|r| encode_request(&r).unwrap())
+                } else {
+                    parse_response(line).map(|r| encode_response(&r).unwrap())
+                }
+            };
+            let original = json::parse(&line).unwrap();
+            let names: Vec<String> = object_at(&mut original.clone(), &path)
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect();
+            for (name, _) in &optional {
+                assert!(names.iter().any(|n| n == name), "{name} missing in {line}");
+            }
+            for (i, name) in names.iter().enumerate() {
+                let mut stripped = original.clone();
+                object_at(&mut stripped, &path).remove(i);
+                let decoded = reencode(&stripped.encode().unwrap());
+                let context = format!("`{name}` at {path:?} of {line}");
+                match optional.iter().find(|(field, _)| field == name) {
+                    Some((_, default)) => {
+                        let mut want = original.clone();
+                        let members = object_at(&mut want, &path);
+                        match default {
+                            Some(spelling) => members[i].1 = json::parse(spelling).unwrap(),
+                            None => drop(members.remove(i)),
+                        }
+                        let want = want.encode().unwrap();
+                        assert_eq!(decoded.expect(&context), want, "{context}");
+                    }
+                    None => {
+                        let err = decoded.expect_err(&context);
+                        assert_eq!(err.code(), ErrorCode::BadRequest, "{context}");
+                        assert!(err.to_string().contains(&format!("`{name}`")), "{err}");
+                    }
+                }
+            }
         }
     }
 

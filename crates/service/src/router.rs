@@ -460,35 +460,14 @@ fn add_stats(total: &mut StatsBody, shard: &StatsBody) {
     total.plan_disk_writes += shard.plan_disk_writes;
 }
 
-fn empty_stats() -> StatsBody {
-    StatsBody {
-        protocol: PROTOCOL_VERSION,
-        workers: 0,
-        queue_depth: 0,
-        submitted: 0,
-        completed: 0,
-        rejected: 0,
-        failed: 0,
-        distance_hits: 0,
-        distance_misses: 0,
-        closure_hits: 0,
-        closure_misses: 0,
-        weighted_hits: 0,
-        weighted_misses: 0,
-        subroute_hits: 0,
-        subroute_misses: 0,
-        plan_exact_hits: 0,
-        plan_canonical_hits: 0,
-        plan_disk_hits: 0,
-        plan_disk_writes: 0,
-    }
-}
-
 /// Fleet stats: the field-wise sum over every reachable shard. Any
 /// unreachable shard makes the sweep fail typed — a partial sum would
 /// silently understate the fleet.
 fn fan_out_stats(pool: &mut ShardPool<'_>) -> Response {
-    let mut total = empty_stats();
+    let mut total = StatsBody {
+        protocol: PROTOCOL_VERSION,
+        ..Default::default()
+    };
     for shard in 0..pool.endpoints.len() {
         match pool.call(shard, &Request::Stats) {
             Response::Stats(stats) => add_stats(&mut total, &stats),
@@ -509,17 +488,12 @@ fn fan_out_stats(pool: &mut ShardPool<'_>) -> Response {
 /// than this" — percentiles of different populations cannot be averaged).
 fn fan_out_metrics(pool: &mut ShardPool<'_>) -> Response {
     let mut total = MetricsBody {
-        stats: empty_stats(),
-        queue_p50: 0.0,
-        queue_p90: 0.0,
-        queue_p99: 0.0,
-        queue_max: 0.0,
-        queue_samples: 0,
-        uptime_seconds: 0.0,
-        jobs_inflight: 0,
+        stats: StatsBody {
+            protocol: PROTOCOL_VERSION,
+            ..Default::default()
+        },
         events_dropped: journal::dropped_total(),
-        trace_drops: 0,
-        passes: Vec::new(),
+        ..Default::default()
     };
     let mut passes: std::collections::HashMap<String, (u64, f64)> =
         std::collections::HashMap::new();

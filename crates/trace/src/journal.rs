@@ -33,10 +33,12 @@ use std::sync::{Mutex, OnceLock};
 pub const JOURNAL_CAPACITY: usize = 1024;
 
 /// Event severity, ordered `Debug < Info < Warn < Error` so a minimum
-/// level is a plain comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// level is a plain comparison. The default, `Debug`, is the minimum
+/// level that admits everything.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
     /// Chatty diagnostics (off the default CLI view).
+    #[default]
     Debug,
     /// Normal operational milestones.
     Info,
