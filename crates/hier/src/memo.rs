@@ -13,17 +13,18 @@
 //! pure function of its key — the invariant behind bit-for-bit
 //! thread-count identity and cross-process reuse.
 //!
-//! Per the workspace cache-invalidation rule nothing is invalidated in
-//! place: a different fragment is a different key, the store is bounded
-//! with FIFO eviction, and hit/miss counters flow to service stats.
-//! Hits are tiered: an *exact* hit re-sees a byte-identical original
-//! fragment, a *canonical* hit reuses a plan across isomorphic variants,
-//! and a *disk* hit loads a plan another process persisted via the
-//! optional [`crate::store::PlanStore`] tier.
+//! Tier 0 is a [`bounded::ContentCache`], so per the workspace cache
+//! rule nothing is invalidated in place: a different fragment is a
+//! different key, and hit/miss counters flow to service stats. Hits are
+//! tiered: an *exact* hit re-sees a byte-identical original fragment, a
+//! *canonical* hit reuses a plan across isomorphic variants, and a
+//! *disk* hit loads a plan another process persisted via the optional
+//! [`crate::store::PlanStore`] tier.
 
-use crate::store::{fnv1a, PlanStore};
+use crate::store::PlanStore;
+use bounded::{fnv1a, ContentCache};
 use circuit::GateKind;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -164,7 +165,7 @@ pub struct PlanStats {
 /// routing pass uses the process-wide instance (whose counters
 /// [`plan_store_stats`] reports), tests use private instances.
 pub struct SubrouteMemo {
-    inner: Mutex<MemoInner>,
+    plans: ContentCache<FragmentKey, Entry>,
     store: Mutex<Option<PlanStore>>,
     exact_hits: AtomicU64,
     canonical_hits: AtomicU64,
@@ -177,36 +178,14 @@ struct Entry {
     plan: SwapPlan,
     /// Exact-form hashes of original fragments seen for this canonical
     /// key, bounded by [`EXACT_TRACK`].
-    exact: HashSet<u64>,
-}
-
-struct MemoInner {
-    plans: HashMap<FragmentKey, Entry>,
-    order: VecDeque<FragmentKey>,
-}
-
-impl MemoInner {
-    fn insert(&mut self, key: FragmentKey, plan: SwapPlan, exact_hash: u64) {
-        if self.order.len() >= CAPACITY {
-            if let Some(evicted) = self.order.pop_front() {
-                self.plans.remove(&evicted);
-            }
-        }
-        self.order.push_back(key.clone());
-        let mut exact = HashSet::new();
-        exact.insert(exact_hash);
-        self.plans.insert(key, Entry { plan, exact });
-    }
+    exact: Mutex<HashSet<u64>>,
 }
 
 impl SubrouteMemo {
     /// An empty memo with no disk tier.
     pub fn new() -> Self {
         SubrouteMemo {
-            inner: Mutex::new(MemoInner {
-                plans: HashMap::new(),
-                order: VecDeque::new(),
-            }),
+            plans: ContentCache::new(CAPACITY),
             store: Mutex::new(None),
             exact_hits: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
@@ -226,67 +205,60 @@ impl SubrouteMemo {
     /// lookup (the aggregate counters cannot attribute a decision to one
     /// fragment, which per-job tracing needs). On a full miss the plan
     /// is computed with `f`, which receives the canonical key and must
-    /// route the canonical fragment. `exact_hash` fingerprints the
+    /// route the canonical fragment; threads racing on one key wait for
+    /// a single computation. `exact_hash` fingerprints the
     /// *pre-canonical* fragment ([`exact_fragment_hash`]) and only
-    /// affects hit-tier accounting. The compute runs outside the memo
-    /// lock; racing threads may duplicate the work, but the plan is a
-    /// pure function of the key so whichever insertion lands first wins
-    /// and every caller sees identical content.
+    /// affects hit-tier accounting.
     pub fn get_or_compute_tiered(
         &self,
         key: FragmentKey,
         exact_hash: u64,
         f: impl FnOnce(&FragmentKey) -> Vec<(u32, u32)>,
     ) -> (SwapPlan, PlanTier) {
-        {
-            let mut inner = self.inner.lock().expect("subroute memo poisoned");
-            if let Some(entry) = inner.plans.get_mut(&key) {
-                let tier = if entry.exact.contains(&exact_hash) {
-                    self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                    PlanTier::Exact
-                } else {
-                    self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-                    if entry.exact.len() < EXACT_TRACK {
-                        entry.exact.insert(exact_hash);
-                    }
-                    PlanTier::Canonical
-                };
-                return (entry.plan.clone(), tier);
+        let mut computed = None;
+        let entry = self.plans.get_or_compute(&key, || {
+            let (plan, tier) = self.load_or_route(&key, f);
+            computed = Some(tier);
+            Entry {
+                plan: Arc::new(plan),
+                exact: Mutex::new(HashSet::from([exact_hash])),
             }
+        });
+        if let Some(tier) = computed {
+            return (entry.plan.clone(), tier);
         }
-        // Tier 1: the disk store, consulted lazily on a tier-0 miss.
-        {
-            let mut store = self.store.lock().expect("plan store poisoned");
-            if let Some(store) = store.as_mut() {
-                if let Some(loaded) = store.load(&key_bytes(&key)) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    let plan: SwapPlan = Arc::new(loaded);
-                    let mut inner = self.inner.lock().expect("subroute memo poisoned");
-                    if let Some(entry) = inner.plans.get(&key) {
-                        return (entry.plan.clone(), PlanTier::Disk);
-                    }
-                    inner.insert(key, plan.clone(), exact_hash);
-                    return (plan, PlanTier::Disk);
-                }
+        let mut exact = entry.exact.lock().expect("exact-hash set poisoned");
+        let tier = if exact.contains(&exact_hash) {
+            self.exact_hits.fetch_add(1, Ordering::Relaxed);
+            PlanTier::Exact
+        } else {
+            self.canonical_hits.fetch_add(1, Ordering::Relaxed);
+            if exact.len() < EXACT_TRACK {
+                exact.insert(exact_hash);
+            }
+            PlanTier::Canonical
+        };
+        (entry.plan.clone(), tier)
+    }
+
+    /// A tier-0 miss: the disk store's plan for `key`, or else `f`'s,
+    /// persisted. The store lock is not held while `f` runs.
+    fn load_or_route(
+        &self,
+        key: &FragmentKey,
+        f: impl FnOnce(&FragmentKey) -> Vec<(u32, u32)>,
+    ) -> (Vec<(u32, u32)>, PlanTier) {
+        if let Some(store) = self.store.lock().expect("plan store poisoned").as_mut() {
+            if let Some(plan) = store.load(&key_bytes(key)) {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return (plan, PlanTier::Disk);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan: SwapPlan = Arc::new(f(&key));
-        let newly_inserted = {
-            let mut inner = self.inner.lock().expect("subroute memo poisoned");
-            if inner.plans.contains_key(&key) {
-                false
-            } else {
-                inner.insert(key.clone(), plan.clone(), exact_hash);
-                true
-            }
-        };
-        if newly_inserted {
-            let mut store = self.store.lock().expect("plan store poisoned");
-            if let Some(store) = store.as_mut() {
-                if store.append(&key_bytes(&key), &plan) {
-                    self.disk_writes.fetch_add(1, Ordering::Relaxed);
-                }
+        let plan = f(key);
+        if let Some(store) = self.store.lock().expect("plan store poisoned").as_mut() {
+            if store.append(&key_bytes(key), &plan) {
+                self.disk_writes.fetch_add(1, Ordering::Relaxed);
             }
         }
         (plan, PlanTier::Miss)
@@ -444,6 +416,7 @@ mod tests {
     #[test]
     fn concurrent_lookups_agree_on_content() {
         let memo = SubrouteMemo::new();
+        let calls = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
@@ -451,7 +424,10 @@ mod tests {
                         let (plan, _) = memo.get_or_compute_tiered(
                             key(round % 4),
                             u64::from(round % 4),
-                            |_| vec![((round % 4), (round % 4) + 1)],
+                            |_| {
+                                calls.fetch_add(1, Ordering::Relaxed);
+                                vec![((round % 4), (round % 4) + 1)]
+                            },
                         );
                         assert_eq!(plan[0].1, plan[0].0 + 1);
                     }
@@ -460,7 +436,8 @@ mod tests {
         });
         let (hits, misses) = memo.stats();
         assert_eq!(hits + misses, 8 * 20);
-        assert!(misses >= 4, "each key computed at least once");
+        assert_eq!(misses, 4, "each key computed exactly once");
+        assert_eq!(calls.into_inner(), 4);
     }
 
     #[test]

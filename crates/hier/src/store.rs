@@ -23,6 +23,7 @@
 //! is deterministic across processes, restarts, and machines sharing a
 //! store directory.
 
+use bounded::fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::Write;
@@ -45,17 +46,6 @@ const MAX_FIELD: u32 = 1 << 20;
 
 /// The store file inside the configured directory.
 const FILE_NAME: &str = "plans.qps";
-
-/// FNV-1a over a byte slice — the record checksum (and the exact-form
-/// hash the memo tier shares).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Size bounds of the disk tier.
 #[derive(Clone, Copy, Debug)]
@@ -154,6 +144,24 @@ struct Loaded {
     file_bytes: u64,
 }
 
+impl Loaded {
+    /// Evicts the oldest records until the live set fits `config`'s
+    /// bounds; returns whether any record was evicted.
+    fn trim(&mut self, config: &PlanStoreConfig) -> bool {
+        let mut evicted = false;
+        while self.order.len() > config.max_entries.max(1) || self.live_bytes > config.max_bytes {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(plan) = self.plans.remove(&oldest) {
+                self.live_bytes -= record_len(&oldest, &plan);
+            }
+            evicted = true;
+        }
+        evicted
+    }
+}
+
 /// The disk tier: a bounded record file plus its in-memory mirror.
 /// All methods are infallible by contract — defects become
 /// [`StoreWarning`]s (also echoed to stderr once each, so a daemon
@@ -211,8 +219,7 @@ impl PlanStore {
             });
             return false;
         }
-        let max_entries = self.config.max_entries.max(1);
-        let max_bytes = self.config.max_bytes;
+        let config = self.config;
         let state = self.loaded();
         if state.plans.contains_key(key_bytes) {
             return true; // plans are pure functions of their key
@@ -220,17 +227,7 @@ impl PlanStore {
         state.plans.insert(key_bytes.to_vec(), plan.to_vec());
         state.order.push_back(key_bytes.to_vec());
         state.live_bytes += record.len() as u64;
-        let mut evicted = false;
-        while state.order.len() > max_entries || state.live_bytes > max_bytes {
-            let Some(oldest) = state.order.pop_front() else {
-                break;
-            };
-            if let Some(old_plan) = state.plans.remove(&oldest) {
-                state.live_bytes -= encode_record(&oldest, &old_plan).len() as u64;
-            }
-            evicted = true;
-        }
-        if evicted || state.file_bytes + record.len() as u64 > max_bytes {
+        if state.trim(&config) || state.file_bytes + record.len() as u64 > config.max_bytes {
             // The append would push the *file* (live + superseded
             // records) past the bound: rewrite it from the live set,
             // which eviction just sized to fit.
@@ -320,6 +317,11 @@ impl PlanStore {
             }
         }
     }
+}
+
+/// The bytes [`encode_record`] writes for one record.
+fn record_len(key_bytes: &[u8], plan: &[(u32, u32)]) -> u64 {
+    (RECORD_HEADER + key_bytes.len() + 8 * plan.len()) as u64
 }
 
 /// Serializes one record.
@@ -435,7 +437,7 @@ fn scan(path: &Path, config: &PlanStoreConfig) -> (Loaded, Vec<StoreWarning>) {
         let record_bytes = (RECORD_HEADER + body_len) as u64;
         if let Some(old) = loaded.plans.insert(key.clone(), plan) {
             // Newest duplicate wins; drop the stale order entry.
-            loaded.live_bytes -= encode_record(&key, &old).len() as u64;
+            loaded.live_bytes -= record_len(&key, &old);
             loaded.order.retain(|k| *k != key);
         }
         loaded.order.push_back(key);
@@ -443,15 +445,7 @@ fn scan(path: &Path, config: &PlanStoreConfig) -> (Loaded, Vec<StoreWarning>) {
         offset = next;
         // Enforce the bounds on load too: an over-bound file (written
         // by a looser config, or adversarially) is trimmed FIFO.
-        while loaded.order.len() > config.max_entries.max(1) || loaded.live_bytes > config.max_bytes
-        {
-            let Some(oldest) = loaded.order.pop_front() else {
-                break;
-            };
-            if let Some(plan) = loaded.plans.remove(&oldest) {
-                loaded.live_bytes -= encode_record(&oldest, &plan).len() as u64;
-            }
-        }
+        loaded.trim(config);
     }
     (loaded, warnings)
 }

@@ -67,7 +67,7 @@ pub use set::Set;
 /// lifetime — long-lived consumers (the mapping service) report deltas
 /// across requests to make cross-request amortization observable.
 pub fn closure_memo_stats() -> (u64, u64) {
-    memo::global_stats()
+    memo::global().stats()
 }
 
 /// Errors reported by operations that are only defined on a fragment of

@@ -520,7 +520,7 @@ impl Map {
     /// structurally identical relations (a batch run's dependence maps)
     /// compute once and share the result.
     pub fn transitive_closure(&self) -> crate::ClosureResult {
-        crate::memo::global().get(self)
+        crate::memo::transitive_closure(crate::memo::global(), self)
     }
 }
 

@@ -4,23 +4,21 @@
 //! the mapping pipeline (candidate construction + verification, or an
 //! iterative fixpoint), and batch runs re-derive it for structurally
 //! identical dependence relations — every QUEKO instance of the same shape,
-//! every repeat of a circuit across devices. The [`ClosureMemo`] here keys
-//! results by a *canonical encoding* of the input [`Map`] (arities, parts
-//! and constraints in sorted order), so semantically identical relations
-//! built in different orders share one computation.
+//! every repeat of a circuit across devices. [`Map::transitive_closure`]
+//! therefore goes through one [`bounded::ContentCache`] keyed by a
+//! *canonical encoding* of the input [`Map`] (arities, parts and
+//! constraints in sorted order), so semantically identical relations built
+//! in different orders share one computation.
 //!
 //! **Invalidation rule:** [`Map`]s are immutable values, so entries are
 //! never invalidated — the memo is a pure function table, bounded at
-//! [`CAPACITY`] entries with FIFO eviction. Under concurrency the memo has
-//! single-computation semantics: racing threads on the same key block on
-//! one cell and share its result.
+//! [`CAPACITY`] entries with FIFO eviction.
 
 use crate::closure::{self, ClosureResult};
 use crate::expr::{Constraint, ConstraintKind};
 use crate::map::{BasicMap, Map};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use bounded::ContentCache;
+use std::sync::OnceLock;
 
 /// Entry bound: dependence relations are small (tens of disjuncts), so 128
 /// memoized closures cover a full batch roster while bounding memory.
@@ -88,94 +86,23 @@ pub(crate) fn canonicalize(map: &Map) -> (Vec<i64>, Map) {
     (key, Map::from_parts(map.n_in(), map.n_out(), rebuilt))
 }
 
-type Cell = Arc<OnceLock<ClosureResult>>;
-
-/// A bounded, keyed, single-computation memo for `R⁺`.
-///
-/// The global instance backs [`Map::transitive_closure`]; tests construct
-/// private instances so hit/miss assertions cannot race with other tests.
-pub(crate) struct ClosureMemo {
-    inner: Mutex<MemoInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// `R⁺` of `map` through `memo`. The closure runs on the canonical
+/// rebuild of `map`, so the cached result does not depend on which
+/// caller's construction order reached the entry first.
+pub(crate) fn transitive_closure(
+    memo: &ContentCache<Vec<i64>, ClosureResult>,
+    map: &Map,
+) -> ClosureResult {
+    let (key, canonical) = canonicalize(map);
+    ClosureResult::clone(&memo.get_or_compute(&key, || closure::transitive_closure(&canonical)))
 }
 
-struct MemoInner {
-    cells: HashMap<Vec<i64>, Cell>,
-    order: VecDeque<Vec<i64>>,
-}
-
-impl ClosureMemo {
-    pub(crate) fn new() -> Self {
-        ClosureMemo {
-            inner: Mutex::new(MemoInner {
-                cells: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `R⁺` of `map`, computed at most once per canonical key no matter how
-    /// many threads ask concurrently. The closure runs on the canonical
-    /// rebuild of `map`, so the cached result does not depend on which
-    /// caller's construction order reached the cell first.
-    pub(crate) fn get(&self, map: &Map) -> ClosureResult {
-        let (key, canonical) = canonicalize(map);
-        let cell: Cell = {
-            let mut inner = self.inner.lock().expect("closure memo poisoned");
-            match inner.cells.get(&key) {
-                Some(cell) => cell.clone(),
-                None => {
-                    if inner.order.len() >= CAPACITY {
-                        if let Some(evicted) = inner.order.pop_front() {
-                            inner.cells.remove(&evicted);
-                        }
-                    }
-                    let cell: Cell = Arc::new(OnceLock::new());
-                    inner.cells.insert(key.clone(), cell.clone());
-                    inner.order.push_back(key);
-                    cell
-                }
-            }
-        };
-        // Compute outside the map lock; racers on the same key serialize on
-        // the cell, so a slow closure never blocks unrelated lookups.
-        let mut computed = false;
-        let result = cell
-            .get_or_init(|| {
-                computed = true;
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                closure::transitive_closure(&canonical)
-            })
-            .clone();
-        if !computed {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// (hits, misses) so far; a "miss" is an actual closure computation.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-static GLOBAL: OnceLock<ClosureMemo> = OnceLock::new();
-
-/// The global memo consulted by [`Map::transitive_closure`].
-pub(crate) fn global() -> &'static ClosureMemo {
-    GLOBAL.get_or_init(ClosureMemo::new)
-}
-
-/// (hits, misses) of the global memo — the backing of
-/// [`crate::closure_memo_stats`].
-pub(crate) fn global_stats() -> (u64, u64) {
-    global().stats()
+/// The global memo consulted by [`Map::transitive_closure`]; tests
+/// construct private instances so hit/miss assertions cannot race with
+/// other tests.
+pub(crate) fn global() -> &'static ContentCache<Vec<i64>, ClosureResult> {
+    static GLOBAL: OnceLock<ContentCache<Vec<i64>, ClosureResult>> = OnceLock::new();
+    GLOBAL.get_or_init(|| ContentCache::new(CAPACITY))
 }
 
 #[cfg(test)]
@@ -192,9 +119,9 @@ mod tests {
 
     #[test]
     fn memo_matches_direct_computation() {
-        let memo = ClosureMemo::new();
+        let memo = ContentCache::new(CAPACITY);
         let r = bounded_shift(1, 0, 9);
-        let cached = memo.get(&r);
+        let cached = transitive_closure(&memo, &r);
         let direct = closure::transitive_closure(&r);
         assert_eq!(cached.exact, direct.exact);
         assert!(cached.map.is_equal(&direct.map));
@@ -203,13 +130,13 @@ mod tests {
 
     #[test]
     fn structurally_equal_maps_share_one_entry() {
-        let memo = ClosureMemo::new();
+        let memo = ContentCache::new(CAPACITY);
         // Same relation, built twice through different unions orders.
         let a = bounded_shift(1, 0, 9).union(&bounded_shift(3, 0, 7));
         let b = bounded_shift(3, 0, 7).union(&bounded_shift(1, 0, 9));
         assert_eq!(canonicalize(&a).0, canonicalize(&b).0);
-        memo.get(&a);
-        memo.get(&b);
+        transitive_closure(&memo, &a);
+        transitive_closure(&memo, &b);
         assert_eq!(memo.stats(), (1, 1));
     }
 
@@ -236,57 +163,6 @@ mod tests {
             canonicalize(&Map::empty(1, 1)).0,
             canonicalize(&Map::empty(2, 2)).0
         );
-    }
-
-    #[test]
-    fn eviction_keeps_the_memo_bounded() {
-        let memo = ClosureMemo::new();
-        for k in 0..(CAPACITY + 3) as i64 {
-            memo.get(&bounded_shift(1, 0, 10 + k));
-        }
-        // The first entry was evicted and recomputes on re-request.
-        memo.get(&bounded_shift(1, 0, 10));
-        let (_, misses) = memo.stats();
-        assert_eq!(misses as usize, CAPACITY + 3 + 1);
-    }
-
-    #[test]
-    fn eight_threads_hammering_one_relation_compute_once() {
-        let memo = ClosureMemo::new();
-        let r = bounded_shift(1, 0, 30).union(&bounded_shift(4, 0, 26));
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..25 {
-                        let c = memo.get(&r);
-                        assert!(c.map.contains(&[0], &[1]));
-                    }
-                });
-            }
-        });
-        let (hits, misses) = memo.stats();
-        assert_eq!(misses, 1, "single-computation semantics");
-        assert_eq!(hits, 8 * 25 - 1);
-    }
-
-    #[test]
-    fn eight_threads_over_disjoint_relations_do_not_poison_locks() {
-        let memo = ClosureMemo::new();
-        std::thread::scope(|scope| {
-            for t in 0..8i64 {
-                let memo = &memo;
-                scope.spawn(move || {
-                    for round in 0..10i64 {
-                        let r = bounded_shift(1, 0, 5 + (t + round) % 5);
-                        let c = memo.get(&r);
-                        assert!(c.exact);
-                    }
-                });
-            }
-        });
-        let (hits, misses) = memo.stats();
-        assert_eq!(misses, 5, "one computation per distinct relation");
-        assert_eq!(hits, 8 * 10 - 5);
     }
 
     #[test]

@@ -40,6 +40,7 @@ use crate::proto::{
     ErrorCode, HistoryBody, MetricsBody, Priority, RatesBody, SampleBody, SeriesBody, StatsBody,
     Summary, PROTOCOL_VERSION,
 };
+use bounded::Fnv1a;
 use circuit::{verify_routing, Circuit};
 use engine::{BatchEngine, StreamEngine};
 use qlosure::{FidelityPass, Mapper, MappingResult};
@@ -265,6 +266,20 @@ impl ServiceState {
         }
         self.traces.insert(id, kept);
         self.trace_order.push_back(id);
+    }
+
+    /// Stores job `id`'s outcome and marks it done, evicting the oldest
+    /// result (and its phase) once the store holds `capacity`.
+    fn store_result(&mut self, capacity: usize, id: u64, outcome: JobOutcome) {
+        if self.result_order.len() >= capacity {
+            if let Some(evicted) = self.result_order.pop_front() {
+                self.results.remove(&evicted);
+                self.phases.remove(&evicted);
+            }
+        }
+        self.results.insert(id, outcome);
+        self.result_order.push_back(id);
+        self.phases.insert(id, Phase::Done);
     }
 }
 
@@ -609,12 +624,11 @@ fn scheduler_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
             let mut state = inner.state.lock().expect("service state poisoned");
             state.counters.failed += 1;
             state.running.remove(&id);
-            state.results.insert(
+            state.store_result(
+                inner.config.results_capacity,
                 id,
                 JobOutcome::Failed("service stopped before the job could run".to_string()),
             );
-            state.result_order.push_back(id);
-            state.phases.insert(id, Phase::Done);
             drop(state);
             inner.done_cv.notify_all();
             return;
@@ -674,15 +688,7 @@ fn collector_loop(inner: &Inner, stream: &StreamEngine<WorkItem, WorkOutput>) {
             let kept = (format!("{:016x}", tracer.trace_id()), tracer.snapshot());
             state.retain_trace(inner.config.traces_capacity, id, kept);
         }
-        if state.result_order.len() >= inner.config.results_capacity {
-            if let Some(evicted) = state.result_order.pop_front() {
-                state.results.remove(&evicted);
-                state.phases.remove(&evicted);
-            }
-        }
-        state.results.insert(id, outcome);
-        state.result_order.push_back(id);
-        state.phases.insert(id, Phase::Done);
+        state.store_result(inner.config.results_capacity, id, outcome);
         drop(state);
         inner.done_cv.notify_all();
     }
@@ -967,52 +973,36 @@ impl Drop for MappingService {
 /// which is how service responses pin the engine determinism contract
 /// without shipping the routed circuit.
 pub fn result_fingerprint(result: &MappingResult) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, bytes: &[u8]) {
-            for &byte in bytes {
-                self.0 ^= u64::from(byte);
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-        }
-        fn word(&mut self, x: u64) {
-            self.bytes(&x.to_le_bytes());
-        }
-    }
-    let mut fnv = Fnv(0xcbf29ce484222325);
-    fnv.word(result.routed.n_qubits() as u64);
+    let mut fnv = Fnv1a::default();
+    fnv.write(&(result.routed.n_qubits() as u64).to_le_bytes());
     for gate in result.routed.gates() {
-        fnv.bytes(gate.kind.name().as_bytes());
-        fnv.word(gate.qubits.len() as u64);
+        fnv.write(gate.kind.name().as_bytes());
+        fnv.write(&(gate.qubits.len() as u64).to_le_bytes());
         for &q in &gate.qubits {
-            fnv.word(u64::from(q));
+            fnv.write(&u64::from(q).to_le_bytes());
         }
         for &p in &gate.params {
-            fnv.word(p.to_bits());
+            fnv.write(&p.to_bits().to_le_bytes());
         }
     }
     for layout in [&result.initial_layout, &result.final_layout] {
-        fnv.word(layout.len() as u64);
+        fnv.write(&(layout.len() as u64).to_le_bytes());
         for &p in layout.iter() {
-            fnv.word(u64::from(p));
+            fnv.write(&u64::from(p).to_le_bytes());
         }
     }
-    fnv.word(result.swaps as u64);
-    fnv.0
+    fnv.write(&(result.swaps as u64).to_le_bytes());
+    fnv.finish()
 }
 
 /// FNV-1a over the job ID and its admission stamp: a per-job trace
 /// identity unique enough to correlate a router's wrapper span with the
 /// shard-side tree it stitched around.
 fn trace_id_for(id: u64, admitted_ns: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for word in [id, admitted_ns] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.write(&id.to_le_bytes());
+    h.write(&admitted_ns.to_le_bytes());
+    h.finish()
 }
 
 /// Runs one admitted job to a stored outcome, bracketing it in the job's

@@ -96,12 +96,7 @@ impl RouterHandle {
 /// shard, which is what keeps that shard's device caches hot.
 #[must_use]
 pub fn content_shard(key: &str, n_shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in key.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    (hash % n_shards.max(1) as u64) as usize
+    (bounded::fnv1a(key.as_bytes()) % n_shards.max(1) as u64) as usize
 }
 
 /// Binds the router's endpoint and serves on a background thread.
@@ -631,7 +626,8 @@ mod tests {
         // Stability: the same key always lands on the same shard (this
         // is the cache-locality contract — pin the exact values so an
         // accidental hash change cannot slip in as "still balanced").
-        assert_eq!(content_shard("aspen16", 2), content_shard("aspen16", 2));
+        assert_eq!(content_shard("aspen16", 2), 1);
+        assert_eq!(content_shard("sherbrooke", 3), 0);
         assert_eq!(content_shard("anything", 1), 0);
         // Balance: a device roster spreads over both shards.
         let (mut a, mut b) = (0usize, 0usize);

@@ -1,8 +1,8 @@
 //! The hardware back-ends of the Qlosure evaluation, plus generic lattice
 //! generators for tests and workload synthesis.
 
-use crate::cache::ContentCache;
 use crate::graph::CouplingGraph;
+use bounded::ContentCache;
 use std::sync::{Arc, OnceLock};
 
 /// IBM Sherbrooke: the 127-qubit heavy-hexagon (Eagle r3) lattice.

@@ -191,7 +191,7 @@ impl CouplingGraph {
     /// under concurrency — when threads race on an uncached graph, exactly
     /// one computes and the rest share its result.
     pub fn shared_distances(&self) -> std::sync::Arc<DistanceMatrix> {
-        crate::cache::global().get(self)
+        crate::cache::global().get_or_compute(self, || self.distances())
     }
 
     /// One shortest path from `a` to `b` (inclusive of both endpoints), or

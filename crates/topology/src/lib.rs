@@ -48,7 +48,7 @@ pub use noise::NoiseModel;
 /// process lifetime — long-lived consumers (the mapping service) report
 /// deltas across requests to make cross-request amortization observable.
 pub fn shared_distance_stats() -> (u64, u64) {
-    cache::global_stats()
+    cache::global().stats()
 }
 
 /// `(hits, misses)` counters of the process-wide shared reliability-
@@ -58,5 +58,5 @@ pub fn shared_distance_stats() -> (u64, u64) {
 /// all-pairs Dijkstra computation, a *hit* any call that reused one, and
 /// the counters are cumulative over the process lifetime.
 pub fn weighted_distance_stats() -> (u64, u64) {
-    noise::weighted_global_stats()
+    noise::weighted_cache().stats()
 }

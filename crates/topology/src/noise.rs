@@ -7,8 +7,8 @@
 //! matrix (Dijkstra over `-ln(1 - ε)` edge costs) that slots into the same
 //! cost functions the hop-count matrix feeds.
 
-use crate::cache::ContentCache;
 use crate::graph::{CouplingGraph, DistanceMatrix};
+use bounded::ContentCache;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -145,17 +145,15 @@ impl NoiseModel {
 
     /// The shared, cached form of [`NoiseModel::weighted_distances`].
     ///
-    /// Functionally identical, but the Floyd–Warshall-class all-pairs
-    /// Dijkstra runs at most once per distinct `(noise model, graph)` pair
-    /// process-wide. Mirrors [`CouplingGraph::shared_distances`]: entries
-    /// are keyed by *full content* (graph name + adjacency, plus the
-    /// model's canonical error-rate encoding — never invalidated in
-    /// place), the cache is bounded with FIFO eviction, and when threads
-    /// race on an uncached pair exactly one computes while the rest share
-    /// its result. Hit/miss counters are surfaced through
+    /// Functionally identical, but the all-pairs Dijkstra runs at most
+    /// once per distinct `(noise model, graph)` pair process-wide, through
+    /// the same [`bounded::ContentCache`] as
+    /// [`CouplingGraph::shared_distances`]. Entries are keyed by *full
+    /// content*: graph name and adjacency, plus the model's canonical
+    /// error-rate encoding. Hit/miss counters are surfaced through
     /// [`crate::weighted_distance_stats`].
     pub fn shared_weighted_distances(&self, graph: &CouplingGraph) -> Arc<DistanceMatrix> {
-        weighted_cache().get(self, graph)
+        cached_weighted(weighted_cache(), self, graph)
     }
 
     /// Canonical content encoding of this model, the cache-key component
@@ -201,7 +199,7 @@ impl NoiseModel {
 /// patterns, edge overrides sorted) — one half of the weighted-distance
 /// cache key.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct NoiseContent {
+pub(crate) struct NoiseContent {
     edges: Vec<(u32, u32, u64)>,
     qubits: Vec<u64>,
     default_bits: u64,
@@ -212,41 +210,23 @@ struct NoiseContent {
 /// while still bounding memory for adversarial workloads.
 const WEIGHTED_CAPACITY: usize = 32;
 
-/// Bounded, content-keyed, single-computation cache of reliability-
-/// weighted distance matrices — the hop-count cache's [`ContentCache`]
-/// core keyed by `(graph content, noise content)`.
-pub(crate) struct WeightedDistanceCache {
-    cache: ContentCache<(CouplingGraph, NoiseContent), DistanceMatrix>,
+/// Reliability-weighted distance matrices keyed by `(graph content,
+/// noise content)`.
+type WeightedCache = ContentCache<(CouplingGraph, NoiseContent), DistanceMatrix>;
+
+fn cached_weighted(
+    cache: &WeightedCache,
+    noise: &NoiseModel,
+    graph: &CouplingGraph,
+) -> Arc<DistanceMatrix> {
+    let key = (graph.clone(), noise.content_key());
+    cache.get_or_compute(&key, || noise.weighted_distances(graph))
 }
 
-impl WeightedDistanceCache {
-    fn new() -> Self {
-        WeightedDistanceCache {
-            cache: ContentCache::new(WEIGHTED_CAPACITY),
-        }
-    }
-
-    fn get(&self, noise: &NoiseModel, graph: &CouplingGraph) -> Arc<DistanceMatrix> {
-        let key = (graph.clone(), noise.content_key());
-        self.cache
-            .get_or_compute(&key, || noise.weighted_distances(graph))
-    }
-
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-}
-
-static WEIGHTED_GLOBAL: OnceLock<WeightedDistanceCache> = OnceLock::new();
-
-fn weighted_cache() -> &'static WeightedDistanceCache {
-    WEIGHTED_GLOBAL.get_or_init(WeightedDistanceCache::new)
-}
-
-/// (hits, misses) of the global weighted-distance cache — the backing of
-/// [`crate::weighted_distance_stats`].
-pub(crate) fn weighted_global_stats() -> (u64, u64) {
-    weighted_cache().stats()
+/// The global cache behind [`NoiseModel::shared_weighted_distances`].
+pub(crate) fn weighted_cache() -> &'static WeightedCache {
+    static GLOBAL: OnceLock<WeightedCache> = OnceLock::new();
+    GLOBAL.get_or_init(|| ContentCache::new(WEIGHTED_CAPACITY))
 }
 
 /// Total-ordering wrapper for f64 heap keys (costs are never NaN).
@@ -327,62 +307,29 @@ mod tests {
 
     #[test]
     fn weighted_cache_returns_same_matrix_as_direct_computation() {
-        let cache = WeightedDistanceCache::new();
+        let cache = WeightedCache::new(WEIGHTED_CAPACITY);
         let g = backends::ring(9);
         let noise = NoiseModel::uniform(&g, 0.02, 0.001);
-        assert_eq!(*cache.get(&noise, &g), noise.weighted_distances(&g));
+        let first = cached_weighted(&cache, &noise, &g);
+        assert_eq!(*first, noise.weighted_distances(&g));
         assert_eq!(cache.stats(), (0, 1));
         // A clone of the same model on the same graph is a content hit.
-        let again = cache.get(&noise.clone(), &g.clone());
+        let again = cached_weighted(&cache, &noise.clone(), &g.clone());
         assert_eq!(cache.stats(), (1, 1));
-        assert!(Arc::ptr_eq(&again, &cache.get(&noise, &g)));
+        assert!(Arc::ptr_eq(&again, &first));
     }
 
     #[test]
     fn weighted_cache_keys_on_noise_content() {
-        let cache = WeightedDistanceCache::new();
+        let cache = WeightedCache::new(WEIGHTED_CAPACITY);
         let g = backends::ring(6);
         let mut a = NoiseModel::uniform(&g, 0.01, 0.001);
         let b = a.clone();
         a.set_edge_error(0, 1, 0.3); // different content, same graph
-        let da = cache.get(&a, &g);
-        let db = cache.get(&b, &g);
+        let da = cached_weighted(&cache, &a, &g);
+        let db = cached_weighted(&cache, &b, &g);
         assert_eq!(cache.stats(), (0, 2), "distinct rates must not collide");
         assert_ne!(*da, *db);
-    }
-
-    #[test]
-    fn weighted_cache_eviction_keeps_it_bounded() {
-        let cache = WeightedDistanceCache::new();
-        let g = backends::line(5);
-        for i in 0..(WEIGHTED_CAPACITY + 3) {
-            let noise = NoiseModel::uniform(&g, 0.001 * (i + 1) as f64, 0.0001);
-            cache.get(&noise, &g);
-        }
-        // The oldest entry was evicted, so asking again recomputes.
-        cache.get(&NoiseModel::uniform(&g, 0.001, 0.0001), &g);
-        let (_, misses) = cache.stats();
-        assert_eq!(misses as usize, WEIGHTED_CAPACITY + 3 + 1);
-    }
-
-    #[test]
-    fn eight_threads_hammering_one_weighted_entry_compute_once() {
-        let cache = WeightedDistanceCache::new();
-        let g = backends::king_grid(5, 5);
-        let noise = NoiseModel::synthetic(&g, 5e-3, 42);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..25 {
-                        let d = cache.get(&noise, &g);
-                        assert_eq!(d.n_qubits(), 25);
-                    }
-                });
-            }
-        });
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 1, "single-computation semantics");
-        assert_eq!(hits, 8 * 25 - 1);
     }
 
     #[test]
