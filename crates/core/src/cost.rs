@@ -52,6 +52,18 @@ pub enum OmegaScaling {
 /// transitive dependents (the tail of the circuit) still exert distance
 /// pressure; `smoothing = 1` by default, set it to 0 (with
 /// [`OmegaScaling::Linear`]) to evaluate the paper's formula verbatim.
+///
+/// The evaluation is exact up to one shared float fold. Each gate's
+/// weight is an integer (`ω + smoothing` under [`OmegaScaling::Linear`],
+/// 1 under the ablation variants that ignore ω), so each layer's
+/// `ℓ · Γ_ℓ = S_ℓ = Σ w_g · D[g]` is an exact `u64`, and the cost is
+/// `decay · Σ_ℓ fw_ℓ · (S_ℓ / ℓ) / |G_ℓ|` over those sums (`fw_1 = 1`,
+/// the future weight beyond). [`OmegaScaling::Sqrt`] and
+/// [`OmegaScaling::Log`] weights are fixed point, `round(f(ω + smoothing)
+/// · 2¹⁶)`, and the fold applies the `2⁻¹⁶`; that keeps the cost within
+/// `2⁻¹⁶` relative of the real-valued formula. The router's batched
+/// scorer adjusts the same sums by exact integer deltas and calls the same
+/// fold, so it agrees with [`SwapCost::score`] bit for bit.
 #[derive(Clone, Debug)]
 pub struct SwapCost {
     variant: CostVariant,
@@ -59,6 +71,10 @@ pub struct SwapCost {
     scaling: OmegaScaling,
     future_weight: f64,
 }
+
+/// Fixed-point scale of the [`OmegaScaling::Sqrt`] and
+/// [`OmegaScaling::Log`] gate weights.
+const FIXED_ONE: f64 = (1u64 << 16) as f64;
 
 impl SwapCost {
     /// Creates an evaluator with the default ω scaling and future weight.
@@ -96,44 +112,44 @@ impl SwapCost {
         self.variant
     }
 
-    /// The ω weight factor `w` of a gate — a pure function of the variant
-    /// and scaling, shared between [`SwapCost::score`] and the router's
-    /// batched per-candidate scorer so both produce bit-identical terms.
-    pub(crate) fn omega_factor(&self, omega: u64) -> f64 {
-        match self.variant {
-            CostVariant::DistanceOnly | CostVariant::LayerAdjusted => 1.0,
-            CostVariant::DependencyWeighted => {
-                let raw = (omega + self.smoothing) as f64;
-                match self.scaling {
-                    OmegaScaling::Linear => raw,
-                    OmegaScaling::Sqrt => raw.sqrt(),
-                    OmegaScaling::Log => raw.ln_1p(),
-                }
+    /// The integer weight `w` of a gate with dependence weight `omega`.
+    pub(crate) fn gate_weight(&self, omega: u64) -> u64 {
+        if self.variant != CostVariant::DependencyWeighted {
+            return 1;
+        }
+        let raw = omega + self.smoothing;
+        let f = match self.scaling {
+            OmegaScaling::Linear => return raw,
+            OmegaScaling::Sqrt => (raw as f64).sqrt(),
+            OmegaScaling::Log => (raw as f64).ln_1p(),
+        };
+        (f * FIXED_ONE).round() as u64
+    }
+
+    /// Folds per-layer sums `S_ℓ = Σ w · D` and sizes `|G_ℓ|` into the
+    /// cost `decay · Σ_ℓ fw_ℓ · (S_ℓ · disc_ℓ) / |G_ℓ|`, with the layer
+    /// discount `disc_ℓ = 1/ℓ` (1 under [`CostVariant::DistanceOnly`]).
+    /// The one float step of both [`SwapCost::score`] and the router's
+    /// batched scorer.
+    pub(crate) fn fold(&self, sums: &[u64], sizes: &[u32], decay: f64) -> f64 {
+        let unit = match (self.variant, self.scaling) {
+            (CostVariant::DependencyWeighted, OmegaScaling::Sqrt | OmegaScaling::Log) => {
+                FIXED_ONE.recip()
             }
-        }
-    }
-
-    /// The layer discount `1/ℓ` (or 1 under
-    /// [`CostVariant::DistanceOnly`]).
-    pub(crate) fn layer_discount(&self, layer: usize) -> f64 {
-        match self.variant {
-            CostVariant::DistanceOnly => 1.0,
-            _ => 1.0 / layer as f64,
-        }
-    }
-
-    /// Folds accumulated per-layer `Γ_ℓ` and `|G_ℓ|` into the final cost —
-    /// the exact tail of [`SwapCost::score`], factored out so the batched
-    /// scorer combines its Γ buffer with the identical float fold.
-    pub(crate) fn combine(&self, gamma: &[f64], sizes: &[u32], decay: f64) -> f64 {
-        let sum: f64 = gamma
+            _ => 1.0,
+        };
+        let sum: f64 = sums
             .iter()
             .zip(sizes)
             .enumerate()
             .filter(|&(_, (_, &n))| n > 0)
-            .map(|(i, (g, &n))| {
-                let w = if i == 0 { 1.0 } else { self.future_weight };
-                w * g / n as f64
+            .map(|(i, (&s, &n))| {
+                let fw = if i == 0 { 1.0 } else { self.future_weight };
+                let disc = match self.variant {
+                    CostVariant::DistanceOnly => 1.0,
+                    _ => 1.0 / (i + 1) as f64,
+                };
+                fw * (s as f64 * unit * disc) / n as f64
             })
             .sum();
         decay * sum
@@ -142,8 +158,8 @@ impl SwapCost {
     /// Scores the tentative layout `φs` (the layout *after* the candidate
     /// swap) against the layered look-ahead window.
     ///
-    /// `gates` must be sorted or at least grouped by `layer`; only layer 1
-    /// is consulted by [`CostVariant::DistanceOnly`].
+    /// Layers are taken from each gate's `layer` (0 counts as 1); only
+    /// layer 1 is consulted by [`CostVariant::DistanceOnly`].
     pub fn score(
         &self,
         gates: &[ScoredGate],
@@ -151,25 +167,22 @@ impl SwapCost {
         dist: &DistanceMatrix,
         decay: f64,
     ) -> f64 {
-        // Accumulate Γ_ℓ and |G_ℓ| per layer.
-        let mut gamma: Vec<f64> = Vec::new();
+        let mut sums: Vec<u64> = Vec::new();
         let mut sizes: Vec<u32> = Vec::new();
         for g in gates {
             let layer = g.layer.max(1) as usize;
             if self.variant == CostVariant::DistanceOnly && layer > 1 {
                 continue;
             }
-            if gamma.len() < layer {
-                gamma.resize(layer, 0.0);
+            if sums.len() < layer {
+                sums.resize(layer, 0);
                 sizes.resize(layer, 0);
             }
-            let d = dist.get(layout.phys(g.q1), layout.phys(g.q2)) as f64;
-            let w = self.omega_factor(g.omega);
-            let discount = self.layer_discount(layer);
-            gamma[layer - 1] += w * d * discount;
+            let d = dist.get(layout.phys(g.q1), layout.phys(g.q2));
+            sums[layer - 1] += self.gate_weight(g.omega) * u64::from(d);
             sizes[layer - 1] += 1;
         }
-        self.combine(&gamma, &sizes, decay)
+        self.fold(&sums, &sizes, decay)
     }
 }
 
@@ -265,5 +278,78 @@ mod tests {
         let gates = [sg(0, 4, 0, 1)]; // terminal gate, ω = 0
         assert!(smoothed.score(&gates, &layout, &d, 1.0) > 0.0);
         assert_eq!(verbatim.score(&gates, &layout, &d, 1.0), 0.0);
+    }
+
+    #[test]
+    fn linear_weights_are_exactly_omega_plus_smoothing() {
+        for smoothing in [0, 1, 7] {
+            let cost = SwapCost::new(CostVariant::DependencyWeighted, smoothing);
+            for omega in [0, 1, 2, 1000, u64::from(u32::MAX)] {
+                assert_eq!(cost.gate_weight(omega), omega + smoothing);
+            }
+        }
+        for variant in [CostVariant::DistanceOnly, CostVariant::LayerAdjusted] {
+            assert_eq!(SwapCost::new(variant, 1).gate_weight(99), 1);
+        }
+    }
+
+    #[test]
+    fn fixed_point_scalings_stay_within_two_to_the_minus_16_of_the_real_fold() {
+        // The real-valued Eq. (2) with f64 weights √(ω+s) or ln(1+ω+s),
+        // accumulated per layer as (w · D) / ℓ, future weight 0.5.
+        fn real(
+            scaling: OmegaScaling,
+            smoothing: u64,
+            gates: &[ScoredGate],
+            layout: &Layout,
+            d: &DistanceMatrix,
+        ) -> f64 {
+            let mut gamma = [0.0f64; 4];
+            let mut sizes = [0u32; 4];
+            for g in gates {
+                let raw = (g.omega + smoothing) as f64;
+                let w = match scaling {
+                    OmegaScaling::Sqrt => raw.sqrt(),
+                    _ => raw.ln_1p(),
+                };
+                let l = g.layer as usize;
+                let dist = f64::from(d.get(layout.phys(g.q1), layout.phys(g.q2)));
+                gamma[l - 1] += w * dist / l as f64;
+                sizes[l - 1] += 1;
+            }
+            (0..4)
+                .filter(|&i| sizes[i] > 0)
+                .map(|i| if i == 0 { 1.0 } else { 0.5 } * gamma[i] / f64::from(sizes[i]))
+                .sum()
+        }
+        let (_, d) = line_ctx(12);
+        let layout = Layout::from_assignment(&[3, 11, 0, 7, 5, 1, 9, 2, 10, 4, 8, 6], 12);
+        let gates = [
+            sg(0, 1, 0, 1),
+            sg(2, 3, 5, 1),
+            sg(4, 5, 1, 2),
+            sg(6, 7, 40, 2),
+            sg(8, 9, 3, 3),
+            sg(10, 11, 1234, 4),
+            sg(1, 8, 2, 4),
+        ];
+        for scaling in [OmegaScaling::Sqrt, OmegaScaling::Log] {
+            for smoothing in [0, 1] {
+                let cost = SwapCost::with_scaling(
+                    CostVariant::DependencyWeighted,
+                    smoothing,
+                    scaling,
+                    0.5,
+                );
+                let fixed = cost.score(&gates, &layout, &d, 1.0);
+                let exact = real(scaling, smoothing, &gates, &layout, &d);
+                assert!(exact > 0.0);
+                let rel = ((fixed - exact) / exact).abs();
+                assert!(
+                    rel <= 1.0 / 65536.0,
+                    "{scaling:?} smoothing {smoothing}: {fixed} vs {exact} (rel {rel:e})"
+                );
+            }
+        }
     }
 }

@@ -48,7 +48,10 @@ pub struct QlosureConfig {
     /// Additive smoothing on ω (see [`SwapCost`]).
     pub omega_smoothing: u64,
     /// Compression applied to ω before it enters the cost (see
-    /// [`OmegaScaling`]).
+    /// [`OmegaScaling`]). Under `Linear` a gate's weight is the exact
+    /// integer `ω + omega_smoothing`; `Sqrt` and `Log` weights are 16-bit
+    /// fixed point, within `2⁻¹⁶` relative of the real-valued cost (see
+    /// [`SwapCost`]).
     pub omega_scaling: OmegaScaling,
     /// Weight of look-ahead layers `ℓ >= 2` relative to the front layer
     /// (`1.0` = Eq. 2 verbatim; see [`SwapCost::with_scaling`]).
@@ -287,15 +290,19 @@ impl RoutingPass for QlosureRoutingPass {
 /// unchanged front reuse it outright, and a rebuild reuses the
 /// epoch-stamped buffers instead of fresh `vec![false; n]` allocations.
 ///
-/// On top of the window it carries the **batched scoring** scratch: the
-/// ω-weight and layer-discount factors of each scored gate are frozen at
-/// rebuild time ([`WindowScratch::prepare`]), the gates' physical
-/// endpoints and base contributions are refreshed once per SWAP step
-/// ([`WindowScratch::begin_step`]), and each candidate is then scored by
-/// [`WindowScratch::score_candidate`] without touching the layout — the
-/// accumulation order and every float expression mirror
-/// [`SwapCost::score`] exactly, so selection is bit-for-bit identical to
-/// speculating the swap and rescoring the window from scratch.
+/// On top of the window it carries the **step state** of the batched
+/// scorer, in exact integers: each scored gate's weight, layer, physical
+/// endpoints and distance, the per-layer sums `S_ℓ = Σ w · D` and the
+/// front-layer distance sum under the current layout, and per physical
+/// qubit the gates with an endpoint there. A candidate SWAP `(p1, p2)`
+/// changes `S_ℓ` only through the gates on `p1` and `p2`, so
+/// [`WindowScratch::score_candidate`] adds their deltas to a copy of the
+/// sums and calls [`SwapCost::fold`], the fold [`SwapCost::score`] ends
+/// in: the two agree bit for bit by construction. The chosen SWAP's
+/// deltas are then folded into the step state by
+/// [`WindowScratch::commit_swap`]; [`WindowScratch::begin_step`] refreshes
+/// it in full only for a new window or after SWAPs it did not see.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct WindowScratch {
     /// Scored gates, front first (rebuilt per front change).
     pub gates: Vec<ScoredGate>,
@@ -308,77 +315,39 @@ pub(crate) struct WindowScratch {
     heap: BinaryHeap<Reverse<u32>>,
     /// `RoutingState::front_version` the window was built for (0 = never).
     built_for: u64,
-    // --- batched-scoring scratch ---
-    /// `front_version` the per-window factors were prepared for.
-    prepared_for: u64,
-    /// Whether the active arrays exclude non-front gates
-    /// ([`CostVariant::DistanceOnly`]).
-    front_only: bool,
-    /// Per *active* gate (window order, minus the gates the cost variant
-    /// ignores): ω weight factor, layer discount, layer index, and the
-    /// current-layout physical endpoints + base contribution `(w·d)·disc`.
-    factor_w: Vec<f64>,
-    factor_disc: Vec<f64>,
-    layer_ix: Vec<u32>,
-    ep1: Vec<u32>,
-    ep2: Vec<u32>,
-    base_contrib: Vec<f64>,
-    /// Per-layer gate counts `|G_ℓ|` (layout-independent).
-    sizes: Vec<u32>,
-    /// Indices into the active arrays of the `layer <= 1` gates (the
-    /// front-sum tie-break set).
-    front_ix: Vec<u32>,
-    /// Current-layout front-layer distance sum (the tie-break baseline).
-    base_front_sum: u32,
-    /// Γ accumulation buffer reused across candidates.
-    gamma: Vec<f64>,
     /// Per-directed-edge stamps for candidate dedup.
     edge_stamp: Vec<u64>,
     edge_epoch: u64,
-    /// Per-layer Γ under the *current* layout (every contribution at its
-    /// base value), refreshed once per step. A candidate's Γ differs only
-    /// in the layers holding a gate incident to its endpoints.
-    base_gamma: Vec<f64>,
-    /// Active indices grouped by layer (CSR over `layer_start`), stable
-    /// within each layer — so a per-layer re-fold visits that layer's
-    /// gates in exactly the window order [`SwapCost::score`] uses.
-    layer_list: Vec<u32>,
-    layer_start: Vec<u32>,
-    /// Per active gate: does it belong to the front tie-break set?
-    front_flag: Vec<bool>,
-    /// Layer-fill cursor reused across `prepare` calls.
-    cursor: Vec<u32>,
-    /// Per physical qubit: active indices with an endpoint there under
-    /// the current layout (`touch_dirty` lists the non-empty slots).
+    // --- step state ---
+    /// `(built_for, RoutingState::swaps)` the step state describes.
+    refreshed_for: (u64, usize),
+    /// The window's gates the cost variant scores (all of them, or only
+    /// layer 1 under [`CostVariant::DistanceOnly`]), in window order.
+    active: Vec<ActiveGate>,
+    /// Per layer: `|G_ℓ|` and `S_ℓ` under the current layout.
+    sizes: Vec<u32>,
+    base_sum: Vec<u64>,
+    /// Front-layer distance sum under the current layout (the tie-break
+    /// baseline).
+    base_front_sum: u32,
+    /// Per-candidate copy of `base_sum`.
+    sum: Vec<u64>,
+    /// Per physical qubit: indices into `active` of the gates with an
+    /// endpoint there (`touch_dirty` lists slots that may be non-empty).
     touch: Vec<Vec<u32>>,
     touch_dirty: Vec<u32>,
-    /// Per-layer / per-gate stamps for candidate-local dirty marking.
-    layer_mark: Vec<u32>,
-    gate_mark: Vec<u32>,
-    mark_epoch: u32,
-    /// Dirty-layer worklist reused across candidates.
-    dirty_layers: Vec<u32>,
-    /// Layer-major mirrors of the per-gate arrays (permuted by
-    /// `layer_list`), so dirty-layer re-folds read sequentially instead
-    /// of gathering: factors mirrored per window, endpoints and base
-    /// contributions per step.
-    lm_w: Vec<f64>,
-    lm_disc: Vec<f64>,
-    lm_ep1: Vec<u32>,
-    lm_ep2: Vec<u32>,
-    lm_contrib: Vec<f64>,
-    /// Per layer-major position: the base fold's accumulator value
-    /// *before* adding that position's contribution. A dirty layer
-    /// re-folds from its first affected position seeded with this prefix
-    /// — the adds before it are unchanged, so the seed is bitwise the
-    /// reference accumulator at that point.
-    lm_prefix: Vec<f64>,
-    /// Per active gate: its layer-major position (index into the `lm_*`
-    /// mirrors).
-    lm_pos: Vec<u32>,
-    /// Per layer: minimum affected layer-major position for the current
-    /// candidate (valid only while `layer_mark` holds the epoch).
-    layer_min: Vec<u32>,
+}
+
+/// One scored window gate in the step state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ActiveGate {
+    /// Integer weight ([`SwapCost::gate_weight`]).
+    w: u64,
+    /// Layer index `ℓ − 1`.
+    layer: u32,
+    /// Physical endpoints and their distance under the current layout.
+    ep: [u32; 2],
+    d: u32,
 }
 
 impl WindowScratch {
@@ -391,39 +360,16 @@ impl WindowScratch {
             epoch: 0,
             heap: BinaryHeap::new(),
             built_for: 0,
-            prepared_for: 0,
-            front_only: false,
-            factor_w: Vec::new(),
-            factor_disc: Vec::new(),
-            layer_ix: Vec::new(),
-            ep1: Vec::new(),
-            ep2: Vec::new(),
-            base_contrib: Vec::new(),
-            sizes: Vec::new(),
-            front_ix: Vec::new(),
-            base_front_sum: 0,
-            gamma: Vec::new(),
             edge_stamp: vec![0; device.n_directed_edges()],
             edge_epoch: 0,
-            base_gamma: Vec::new(),
-            layer_list: Vec::new(),
-            layer_start: Vec::new(),
-            front_flag: Vec::new(),
-            cursor: Vec::new(),
+            refreshed_for: (0, 0),
+            active: Vec::new(),
+            sizes: Vec::new(),
+            base_sum: Vec::new(),
+            base_front_sum: 0,
+            sum: Vec::new(),
             touch: vec![Vec::new(); device.n_qubits()],
             touch_dirty: Vec::new(),
-            layer_mark: Vec::new(),
-            gate_mark: Vec::new(),
-            mark_epoch: 0,
-            dirty_layers: Vec::new(),
-            lm_w: Vec::new(),
-            lm_disc: Vec::new(),
-            lm_ep1: Vec::new(),
-            lm_ep2: Vec::new(),
-            lm_contrib: Vec::new(),
-            lm_prefix: Vec::new(),
-            lm_pos: Vec::new(),
-            layer_min: Vec::new(),
         }
     }
 
@@ -527,150 +473,59 @@ impl WindowScratch {
         }
     }
 
-    /// Freezes the layout-independent scoring factors of the current
-    /// window: per active gate the ω weight `w` and layer discount (both
-    /// functions of the cost variant only), the layer index, and the
-    /// per-layer gate counts `|G_ℓ|`. A no-op while the window is
-    /// unchanged. "Active" drops exactly the gates [`SwapCost::score`]
-    /// skips (non-front layers under [`CostVariant::DistanceOnly`]), so
-    /// the accumulation order over active gates equals its gate loop.
-    pub fn prepare(&mut self, cost: &SwapCost) {
-        if self.prepared_for == self.built_for {
+    /// Brings the step state up to the current layout: a no-op when it
+    /// already describes this window after exactly `state.swaps()` SWAPs
+    /// (every SWAP since went through [`WindowScratch::commit_swap`]);
+    /// otherwise — a new window, or SWAPs applied behind its back such as
+    /// [`RoutingState::force_route`]'s chain — one full scan of the window.
+    pub fn begin_step(&mut self, state: &RoutingState<'_>, cost: &SwapCost) {
+        let key = (self.built_for, state.swaps());
+        if self.refreshed_for == key {
             return;
         }
-        self.prepared_for = self.built_for;
-        self.front_only = cost.variant() == CostVariant::DistanceOnly;
-        self.factor_w.clear();
-        self.factor_disc.clear();
-        self.layer_ix.clear();
-        self.sizes.clear();
-        self.front_ix.clear();
-        self.front_flag.clear();
-        for g in &self.gates {
-            let layer = g.layer.max(1) as usize;
-            if self.front_only && layer > 1 {
-                continue;
-            }
-            if self.sizes.len() < layer {
-                self.sizes.resize(layer, 0);
-            }
-            if g.layer <= 1 {
-                self.front_ix.push(self.factor_w.len() as u32);
-            }
-            self.front_flag.push(g.layer <= 1);
-            self.factor_w.push(cost.omega_factor(g.omega));
-            self.factor_disc.push(cost.layer_discount(layer));
-            self.layer_ix.push((layer - 1) as u32);
-            self.sizes[layer - 1] += 1;
-        }
-        // Layer-major index lists (stable within a layer), so a dirty
-        // layer can be re-folded in window order without scanning the
-        // whole window.
-        self.layer_start.clear();
-        self.layer_start.push(0);
-        let mut acc = 0u32;
-        for &s in &self.sizes {
-            acc += s;
-            self.layer_start.push(acc);
-        }
-        self.cursor.clear();
-        self.cursor
-            .extend_from_slice(&self.layer_start[..self.sizes.len()]);
-        self.layer_list.clear();
-        self.layer_list.resize(self.layer_ix.len(), 0);
-        self.lm_pos.clear();
-        self.lm_pos.resize(self.layer_ix.len(), 0);
-        for (i, &l) in self.layer_ix.iter().enumerate() {
-            let c = &mut self.cursor[l as usize];
-            self.layer_list[*c as usize] = i as u32;
-            self.lm_pos[i] = *c;
-            *c += 1;
-        }
-        self.lm_w.clear();
-        self.lm_disc.clear();
-        for &gi in &self.layer_list {
-            self.lm_w.push(self.factor_w[gi as usize]);
-            self.lm_disc.push(self.factor_disc[gi as usize]);
-        }
-    }
-
-    /// Refreshes the layout-dependent scoring state for one SWAP step:
-    /// each active gate's physical endpoints and base contribution
-    /// `(w · d) · discount` under the *current* layout, plus the
-    /// front-layer distance sum the progress tie-break compares against.
-    /// Costs one window scan — the same as a single candidate scored the
-    /// naive way — and makes every subsequent candidate score O(window)
-    /// adds with no layout mutation.
-    pub fn begin_step(&mut self, state: &RoutingState<'_>) {
+        self.refreshed_for = key;
         let layout = state.layout();
         let dist = state.dist();
-        self.ep1.clear();
-        self.ep2.clear();
-        self.base_contrib.clear();
+        let front_only = cost.variant() == CostVariant::DistanceOnly;
         for &p in &self.touch_dirty {
             self.touch[p as usize].clear();
         }
         self.touch_dirty.clear();
-        let mut active = 0usize;
+        self.active.clear();
+        self.sizes.clear();
+        self.base_sum.clear();
+        self.base_front_sum = 0;
         for g in &self.gates {
             let layer = g.layer.max(1) as usize;
-            if self.front_only && layer > 1 {
+            if front_only && layer > 1 {
                 continue;
             }
-            let e1 = layout.phys(g.q1);
-            let e2 = layout.phys(g.q2);
-            let d = dist.get(e1, e2) as f64;
-            self.ep1.push(e1);
-            self.ep2.push(e2);
-            self.base_contrib
-                .push(self.factor_w[active] * d * self.factor_disc[active]);
-            for e in [e1, e2] {
+            if self.sizes.len() < layer {
+                self.sizes.resize(layer, 0);
+                self.base_sum.resize(layer, 0);
+            }
+            let ep = [layout.phys(g.q1), layout.phys(g.q2)];
+            let d = u32::from(dist.get(ep[0], ep[1]));
+            let w = cost.gate_weight(g.omega);
+            self.sizes[layer - 1] += 1;
+            self.base_sum[layer - 1] += w * u64::from(d);
+            if layer == 1 {
+                self.base_front_sum += d;
+            }
+            for e in ep {
                 let slot = &mut self.touch[e as usize];
                 if slot.is_empty() {
                     self.touch_dirty.push(e);
                 }
-                slot.push(active as u32);
+                slot.push(self.active.len() as u32);
             }
-            active += 1;
+            self.active.push(ActiveGate {
+                w,
+                layer: (layer - 1) as u32,
+                ep,
+                d,
+            });
         }
-        debug_assert_eq!(active, self.factor_w.len());
-        self.base_front_sum = self
-            .front_ix
-            .iter()
-            .map(|&i| u32::from(dist.get(self.ep1[i as usize], self.ep2[i as usize])))
-            .sum();
-        self.lm_ep1.clear();
-        self.lm_ep2.clear();
-        self.lm_contrib.clear();
-        for &gi in &self.layer_list {
-            self.lm_ep1.push(self.ep1[gi as usize]);
-            self.lm_ep2.push(self.ep2[gi as usize]);
-            self.lm_contrib.push(self.base_contrib[gi as usize]);
-        }
-        // Base Γ + prefix accumulators: each layer's base fold in window
-        // order — bitwise the reference accumulation for any layer a
-        // candidate leaves untouched, and a bitwise-exact restart seed
-        // (`lm_prefix`) for every position of a layer it touches.
-        self.base_gamma.clear();
-        self.lm_prefix.clear();
-        self.lm_prefix.resize(self.lm_contrib.len(), 0.0);
-        for l in 0..self.sizes.len() {
-            let lo = self.layer_start[l] as usize;
-            let hi = self.layer_start[l + 1] as usize;
-            let mut acc = 0.0f64;
-            for k in lo..hi {
-                self.lm_prefix[k] = acc;
-                acc += self.lm_contrib[k];
-            }
-            self.base_gamma.push(acc);
-        }
-        self.layer_mark.clear();
-        self.layer_mark.resize(self.sizes.len(), 0);
-        self.layer_min.clear();
-        self.layer_min.resize(self.sizes.len(), 0);
-        self.gate_mark.clear();
-        self.gate_mark.resize(self.base_contrib.len(), 0);
-        self.mark_epoch = 0;
     }
 
     /// The current-layout front-layer distance sum (tie-break baseline).
@@ -678,11 +533,10 @@ impl WindowScratch {
         self.base_front_sum
     }
 
-    /// Scores candidate SWAP `(p1, p2)` against the prepared window:
-    /// bit-for-bit the value of [`SwapCost::score`] on the speculative
-    /// layout, but computed by re-accumulating the cached per-gate
-    /// contributions (recomputing only gates with an endpoint on `p1` or
-    /// `p2`) instead of re-deriving `w`, `φ` and `D` for every gate.
+    /// Scores candidate SWAP `(p1, p2)` against the step state: the value
+    /// of [`SwapCost::score`] on the speculative layout, bit for bit, plus
+    /// the front-layer distance sum after the SWAP (the tie-break's
+    /// progress term). Only the gates on `p1` and `p2` are read.
     pub fn score_candidate(
         &mut self,
         cost: &SwapCost,
@@ -690,100 +544,84 @@ impl WindowScratch {
         p1: u32,
         p2: u32,
         decay: f64,
-    ) -> f64 {
-        // Γ[ℓ] is an independent fold over layer ℓ's gates in window
-        // order, so only layers holding a gate incident to p1/p2 can
-        // differ from the per-step base — re-fold exactly those (in the
-        // same within-layer order) and reuse `base_gamma` for the rest.
-        self.gamma.clear();
-        self.gamma.extend_from_slice(&self.base_gamma);
-        self.mark_epoch += 1;
-        let epoch = self.mark_epoch;
-        self.dirty_layers.clear();
-        for e in [p1, p2] {
-            for i in 0..self.touch[e as usize].len() {
-                let g = self.touch[e as usize][i] as usize;
-                let l = self.layer_ix[g] as usize;
-                let pos = self.lm_pos[g];
-                if self.layer_mark[l] != epoch {
-                    self.layer_mark[l] = epoch;
-                    self.dirty_layers.push(l as u32);
-                    self.layer_min[l] = pos;
-                } else if pos < self.layer_min[l] {
-                    self.layer_min[l] = pos;
-                }
-            }
-        }
-        for &l in &self.dirty_layers {
-            let lo = self.layer_min[l as usize] as usize;
-            let hi = self.layer_start[l as usize + 1] as usize;
-            let mut acc = self.lm_prefix[lo];
-            for k in lo..hi {
-                let e1 = self.lm_ep1[k];
-                let e2 = self.lm_ep2[k];
-                let contrib = if e1 == p1 || e1 == p2 || e2 == p1 || e2 == p2 {
-                    let f1 = if e1 == p1 {
-                        p2
-                    } else if e1 == p2 {
-                        p1
-                    } else {
-                        e1
-                    };
-                    let f2 = if e2 == p1 {
-                        p2
-                    } else if e2 == p2 {
-                        p1
-                    } else {
-                        e2
-                    };
-                    self.lm_w[k] * dist.get(f1, f2) as f64 * self.lm_disc[k]
-                } else {
-                    self.lm_contrib[k]
-                };
-                acc += contrib;
-            }
-            self.gamma[l as usize] = acc;
-        }
-        cost.combine(&self.gamma, &self.sizes, decay)
+    ) -> (f64, u32) {
+        self.sum.clear();
+        self.sum.extend_from_slice(&self.base_sum);
+        let mut front = self.base_front_sum;
+        add_swap_deltas(
+            &self.touch,
+            &mut self.active,
+            dist,
+            (p1, p2),
+            &mut self.sum,
+            &mut front,
+            false,
+        );
+        (cost.fold(&self.sum, &self.sizes, decay), front)
     }
 
-    /// The front-layer distance sum under the speculative layout after
-    /// SWAP `(p1, p2)` — the integer progress term of the tie-break.
-    /// Integer addition is associative, so the sum is updated as an exact
-    /// delta over the front gates incident to `p1`/`p2` instead of
-    /// re-summing the whole front.
-    pub fn front_sum_after(&mut self, dist: &DistanceMatrix, p1: u32, p2: u32) -> u32 {
-        self.mark_epoch += 1;
-        let epoch = self.mark_epoch;
-        let mut sum = i64::from(self.base_front_sum);
-        for e in [p1, p2] {
-            for k in 0..self.touch[e as usize].len() {
-                let i = self.touch[e as usize][k] as usize;
-                if !self.front_flag[i] || self.gate_mark[i] == epoch {
-                    continue;
-                }
-                self.gate_mark[i] = epoch;
-                let e1 = self.ep1[i];
-                let e2 = self.ep2[i];
-                let f1 = if e1 == p1 {
-                    p2
-                } else if e1 == p2 {
-                    p1
-                } else {
-                    e1
-                };
-                let f2 = if e2 == p1 {
-                    p2
-                } else if e2 == p2 {
-                    p1
-                } else {
-                    e2
-                };
-                sum += i64::from(dist.get(f1, f2));
-                sum -= i64::from(dist.get(e1, e2));
-            }
+    /// Folds SWAP `(p1, p2)`, just applied to `state`, into the step
+    /// state: the gates on `p1` and `p2` take their new endpoints and add
+    /// their deltas to the layer and front sums, and the two touch lists
+    /// trade places. Leaves exactly what a full refresh would build.
+    pub fn commit_swap(&mut self, state: &RoutingState<'_>, p1: u32, p2: u32) {
+        debug_assert_eq!(self.refreshed_for, (self.built_for, state.swaps() - 1));
+        add_swap_deltas(
+            &self.touch,
+            &mut self.active,
+            state.dist(),
+            (p1, p2),
+            &mut self.base_sum,
+            &mut self.base_front_sum,
+            true,
+        );
+        self.touch.swap(p1 as usize, p2 as usize);
+        self.touch_dirty.extend([p1, p2]);
+        self.refreshed_for.1 = state.swaps();
+    }
+}
+
+/// Adds SWAP `(p1, p2)`'s exact deltas `w · (D' − D)` to the layer sums
+/// `sum` and, for layer-1 gates, `D' − D` to the front sum, once per gate
+/// with an endpoint on `p1` or `p2`. A gate on both sits in both touch
+/// lists; it still has an endpoint on `p1` after the first list (moved or
+/// not), which is how the second list skips it. With `commit`, each gate
+/// also takes its new endpoints and distance.
+fn add_swap_deltas(
+    touch: &[Vec<u32>],
+    active: &mut [ActiveGate],
+    dist: &DistanceMatrix,
+    (p1, p2): (u32, u32),
+    sum: &mut [u64],
+    front: &mut u32,
+    commit: bool,
+) {
+    let on_p1 = touch[p1 as usize].iter().map(|&i| (i, true));
+    let on_p2 = touch[p2 as usize].iter().map(|&i| (i, false));
+    for (i, first) in on_p1.chain(on_p2) {
+        let g = &mut active[i as usize];
+        if !first && g.ep.contains(&p1) {
+            continue;
         }
-        sum as u32
+        let ep = g.ep.map(|e| {
+            if e == p1 {
+                p2
+            } else if e == p2 {
+                p1
+            } else {
+                e
+            }
+        });
+        let d = u32::from(dist.get(ep[0], ep[1]));
+        let l = g.layer as usize;
+        sum[l] = sum[l] + g.w * u64::from(d) - g.w * u64::from(g.d);
+        if l == 0 {
+            *front = *front + d - g.d;
+        }
+        if commit {
+            g.ep = ep;
+            g.d = d;
+        }
     }
 }
 
@@ -805,7 +643,7 @@ pub(crate) fn route_with(
     let mut stall = 0usize;
     let mut window = WindowScratch::new(state.dag().n_gates(), state.device());
     let mut candidates: Vec<(u32, u32)> = Vec::new();
-    let mut scored: Vec<f64> = Vec::new();
+    let mut scored: Vec<(f64, u32)> = Vec::new();
     let mut best: Vec<(u32, u32)> = Vec::new();
     loop {
         // EXTRACT_READY_GATES: everything in Lf executable under φ.
@@ -818,8 +656,7 @@ pub(crate) fn route_with(
         }
         // All front gates are blocked two-qubit gates: pick a SWAP.
         window.rebuild(state, weights, c_const);
-        window.prepare(&cost);
-        window.begin_step(state);
+        window.begin_step(state, &cost);
         window.swap_candidates(state, &mut candidates);
         debug_assert!(!candidates.is_empty(), "blocked front with no candidates");
         let clock_max = state.clock_max();
@@ -837,9 +674,9 @@ pub(crate) fn route_with(
             let d1 = state.decay(p1) + busy(state, p1);
             let d2 = state.decay(p2) + busy(state, p2);
             let decay = d1.max(d2);
-            let score = window.score_candidate(&cost, dist, p1, p2, decay);
+            let (score, front) = window.score_candidate(&cost, dist, p1, p2, decay);
             best_score = best_score.min(score);
-            scored.push(score);
+            scored.push((score, front));
         }
         // Near-ties resolve toward swaps that (a) strictly shrink the
         // front layer's total distance (guaranteed progress) and (b)
@@ -850,10 +687,11 @@ pub(crate) fn route_with(
         best.clear();
         let mut best_key = (false, u32::MAX);
         for (i, &(p1, p2)) in candidates.iter().enumerate() {
-            if scored[i] > cutoff {
+            let (score, front) = scored[i];
+            if score > cutoff {
                 continue;
             }
-            let progress = window.front_sum_after(dist, p1, p2) < base_front;
+            let progress = front < base_front;
             let done = state.swap_completion(p1, p2);
             let key = (progress, done);
             let better = match (key.0, best_key.0) {
@@ -871,6 +709,7 @@ pub(crate) fn route_with(
         }
         let (p1, p2) = best[rng.random_range(0..best.len())];
         state.apply_swap(p1, p2);
+        window.commit_swap(state, p1, p2);
         state.bump_decay(p1, config.decay_delta);
         state.bump_decay(p2, config.decay_delta);
         stall += 1;
@@ -1125,6 +964,188 @@ mod tests {
         assert_eq!(w.gates[0].layer, 1);
         assert!(w.gates.iter().any(|g| g.layer == 2));
         assert!(w.gates.iter().any(|g| g.layer == 3));
+    }
+
+    /// A seeded random circuit of `n_gates` gates: mostly `cx`, with `h`
+    /// in between so layers do not grow one per gate.
+    fn random_circuit(n_qubits: u32, n_gates: usize, seed: u64) -> Circuit {
+        let mut c = Circuit::new(n_qubits as usize);
+        let mut s = seed;
+        for _ in 0..n_gates {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let a = ((s >> 33) % u64::from(n_qubits)) as u32;
+            let b = ((s >> 13) % u64::from(n_qubits)) as u32;
+            if (s >> 60) == 0 {
+                c.h(a);
+            } else if a != b {
+                c.cx(a, b);
+            }
+        }
+        c
+    }
+
+    /// The step state, for comparing an incremental one with a refresh.
+    type StepState = (Vec<ActiveGate>, Vec<u32>, Vec<u64>, u32, Vec<Vec<u32>>);
+
+    fn step_state(w: &WindowScratch) -> StepState {
+        (
+            w.active.clone(),
+            w.sizes.clone(),
+            w.base_sum.clone(),
+            w.base_front_sum,
+            w.touch.clone(),
+        )
+    }
+
+    /// Routes `circuit` greedily through the batched scorer (lowest score
+    /// wins; decay and the stall fallback as in `route_with`) and checks,
+    /// at every step, each candidate's score against [`SwapCost::score`]
+    /// on the speculatively swapped layout (by `to_bits`) and its front
+    /// sum against a recount, and, after every committed SWAP, the step
+    /// state against a full refresh. Every eighth SWAP skips
+    /// `commit_swap`, as `force_route`'s chain does.
+    fn check_batched_scorer(
+        circuit: &Circuit,
+        device: &CouplingGraph,
+        dist: &DistanceMatrix,
+        config: &QlosureConfig,
+    ) {
+        let analysis = DependenceAnalysis::new(circuit, WeightMode::Graph);
+        let weights = analysis.weights();
+        let cost = SwapCost::with_scaling(
+            config.cost,
+            config.omega_smoothing,
+            config.omega_scaling,
+            config.future_weight,
+        );
+        let c_const = device.max_degree() + config.lookahead_margin;
+        let stall_limit = 3 * dist.diameter() as usize + config.stall_slack;
+        let layout = Layout::identity(circuit.n_qubits(), device.n_qubits());
+        let mut state = RoutingState::new(circuit, device, dist, layout);
+        let mut window = WindowScratch::new(circuit.gates().len(), device);
+        let mut candidates = Vec::new();
+        let (mut stall, mut steps, mut bypassed, mut scored) = (0usize, 0usize, 0usize, 0usize);
+        loop {
+            if state.execute_ready().ran > 0 {
+                state.reset_decay();
+                stall = 0;
+            }
+            if state.is_done() {
+                break;
+            }
+            window.rebuild(&mut state, weights, c_const);
+            window.begin_step(&state, &cost);
+            window.swap_candidates(&state, &mut candidates);
+            let mut best = (f64::INFINITY, (0, 0));
+            for &(p1, p2) in &candidates {
+                let decay = state.decay(p1).max(state.decay(p2));
+                let (score, front) = window.score_candidate(&cost, dist, p1, p2, decay);
+                let (expect, recount) = state.speculate_swap(p1, p2, |s| {
+                    let layout = s.layout();
+                    let recount: u32 = window
+                        .gates
+                        .iter()
+                        .filter(|g| g.layer <= 1)
+                        .map(|g| u32::from(dist.get(layout.phys(g.q1), layout.phys(g.q2))))
+                        .sum();
+                    (cost.score(&window.gates, layout, dist, decay), recount)
+                });
+                assert_eq!(
+                    score.to_bits(),
+                    expect.to_bits(),
+                    "{config:?}: swap ({p1}, {p2}) scored {score}, SwapCost::score {expect}"
+                );
+                assert_eq!(front, recount, "{config:?}: front sum after ({p1}, {p2})");
+                scored += 1;
+                if score < best.0 {
+                    best = (score, (p1, p2));
+                }
+            }
+            let (p1, p2) = best.1;
+            state.apply_swap(p1, p2);
+            steps += 1;
+            // Every few steps the SWAP bypasses `commit_swap`, with the
+            // window unchanged: the next `begin_step` must notice it.
+            if steps % 8 == 0 {
+                bypassed += 1;
+            } else {
+                window.commit_swap(&state, p1, p2);
+                let mut fresh = window.clone();
+                fresh.refreshed_for = (0, 0);
+                fresh.begin_step(&state, &cost);
+                assert_eq!(
+                    step_state(&window),
+                    step_state(&fresh),
+                    "{config:?}: step state after ({p1}, {p2})"
+                );
+            }
+            state.bump_decay(p1, config.decay_delta);
+            state.bump_decay(p2, config.decay_delta);
+            stall += 1;
+            if stall > stall_limit {
+                let g = state.front()[0];
+                state.force_route(g);
+                state.reset_decay();
+                stall = 0;
+            }
+        }
+        assert!(scored > 0, "{config:?}: no candidate was scored");
+        assert!(bypassed > 0, "{config:?}: every SWAP was committed");
+    }
+
+    #[test]
+    fn batched_scores_equal_swap_cost_score_and_commits_equal_refreshes() {
+        let grid = backends::square_grid(4, 5);
+        let aspen = backends::aspen16();
+        let noisy = backends::square_grid(4, 4);
+        let noise = topology::NoiseModel::synthetic(&noisy, 0.01, 11);
+        // Routing reads distances only through the matrix, so any matrix
+        // `DistanceMatrix::from_raw` accepts must score alike, including
+        // an asymmetric one.
+        let n = grid.n_qubits();
+        let hops = grid.distances();
+        let skewed = (0..n * n)
+            .map(|i| {
+                let (a, b) = ((i / n) as u32, (i % n) as u32);
+                3 * hops.get(a, b) + u16::from(a > b)
+            })
+            .collect();
+        let cases = [
+            (&grid, hops.clone(), 18),
+            (&grid, DistanceMatrix::from_raw(n, skewed), 18),
+            (&aspen, aspen.distances(), 16),
+            (
+                &noisy,
+                (*noise.shared_weighted_distances(&noisy)).clone(),
+                16,
+            ),
+        ];
+        for (device, dist, n_qubits) in &cases {
+            for seed in 1..=2u64 {
+                let circuit = random_circuit(*n_qubits, 90, seed);
+                for cost in [
+                    CostVariant::DistanceOnly,
+                    CostVariant::LayerAdjusted,
+                    CostVariant::DependencyWeighted,
+                ] {
+                    for omega_scaling in
+                        [OmegaScaling::Linear, OmegaScaling::Sqrt, OmegaScaling::Log]
+                    {
+                        for omega_smoothing in [0, 1] {
+                            let config = QlosureConfig {
+                                cost,
+                                omega_scaling,
+                                omega_smoothing,
+                                ..QlosureConfig::default()
+                            };
+                            check_batched_scorer(&circuit, device, dist, &config);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

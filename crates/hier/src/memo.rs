@@ -22,7 +22,7 @@
 //! [`crate::store::PlanStore`] tier.
 
 use crate::store::PlanStore;
-use bounded::{fnv1a, ContentCache};
+use bounded::{ContentCache, Fnv1a};
 use circuit::GateKind;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,47 +72,58 @@ pub type SwapPlan = Arc<Vec<(u32, u32)>>;
 /// tier's record key, compared in full on load (never just a hash).
 pub fn key_bytes(key: &FragmentKey) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + key.gates.len() * 16);
-    out.extend_from_slice(&key.n_local.to_le_bytes());
-    out.extend_from_slice(&(key.edges.len() as u32).to_le_bytes());
-    for &(a, b) in &key.edges {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out.extend_from_slice(&(key.gates.len() as u32).to_le_bytes());
-    for (kind, operands, params) in &key.gates {
-        let name = kind.name();
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(operands.len() as u32).to_le_bytes());
-        for &q in operands {
-            out.extend_from_slice(&q.to_le_bytes());
-        }
-        out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-        for &p in params {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(key.config.len() as u32).to_le_bytes());
-    out.extend_from_slice(key.config.as_bytes());
+    write_key(key.n_local, &key.edges, &key.gates, &key.config, |bytes| {
+        out.extend_from_slice(bytes)
+    });
     out
 }
 
 /// FNV-1a fingerprint of a fragment's *pre-canonical* content — what
 /// tells an exact hit (same original labeling seen again) from a
-/// canonical one (isomorphic variant sharing the plan).
+/// canonical one (isomorphic variant sharing the plan). The hash of the
+/// [`key_bytes`] of the same fields, streamed without building a key.
 pub fn exact_fragment_hash(
     n_local: u32,
     edges: &[(u32, u32)],
     gates: &[FragmentGate],
     config: &str,
 ) -> u64 {
-    let key = FragmentKey {
-        n_local,
-        edges: edges.to_vec(),
-        gates: gates.to_vec(),
-        config: Arc::from(config),
-    };
-    fnv1a(&key_bytes(&key))
+    let mut hash = Fnv1a::default();
+    write_key(n_local, edges, gates, config, |bytes| hash.write(bytes));
+    hash.finish()
+}
+
+/// The one walk behind [`key_bytes`] and [`exact_fragment_hash`]: every
+/// field in order, little-endian, lists and strings length-prefixed.
+fn write_key(
+    n_local: u32,
+    edges: &[(u32, u32)],
+    gates: &[FragmentGate],
+    config: &str,
+    mut put: impl FnMut(&[u8]),
+) {
+    put(&n_local.to_le_bytes());
+    put(&(edges.len() as u32).to_le_bytes());
+    for &(a, b) in edges {
+        put(&a.to_le_bytes());
+        put(&b.to_le_bytes());
+    }
+    put(&(gates.len() as u32).to_le_bytes());
+    for (kind, operands, params) in gates {
+        let name = kind.name();
+        put(&(name.len() as u32).to_le_bytes());
+        put(name.as_bytes());
+        put(&(operands.len() as u32).to_le_bytes());
+        for &q in operands {
+            put(&q.to_le_bytes());
+        }
+        put(&(params.len() as u32).to_le_bytes());
+        for &p in params {
+            put(&p.to_le_bytes());
+        }
+    }
+    put(&(config.len() as u32).to_le_bytes());
+    put(config.as_bytes());
 }
 
 /// Which tier satisfied one plan lookup — the per-lookup counterpart of
@@ -323,6 +334,7 @@ pub fn plan_store_stats() -> PlanStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bounded::fnv1a;
 
     fn key(tag: u32) -> FragmentKey {
         FragmentKey {
@@ -462,6 +474,23 @@ mod tests {
         warm.get_or_compute_tiered(key(3), 9, |_| unreachable!());
         assert_eq!(warm.plan_stats().exact_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fragment_hash_and_key_bytes_are_pinned() {
+        // Exact hashes are compared across processes and key bytes are
+        // the disk tier's record keys: both must stay as they are.
+        let mut k = key(2);
+        k.gates
+            .push((GateKind::Rz, vec![3], vec![0.25f64.to_bits()]));
+        k.gates.push((GateKind::Barrier, vec![0, 1, 2], Vec::new()));
+        let bytes = key_bytes(&k);
+        assert_eq!(bytes.len(), 126);
+        assert_eq!(fnv1a(&bytes), 0x1d9b_b421_6d34_e20d);
+        assert_eq!(
+            exact_fragment_hash(k.n_local, &k.edges, &k.gates, &k.config),
+            0x1d9b_b421_6d34_e20d
+        );
     }
 
     #[test]

@@ -3,12 +3,17 @@
 //! The `reference` module below is a **frozen copy of the pre-refactor
 //! routing code**: the monolithic Qlosure loop (`router.rs` as of PR 2)
 //! and the four baseline loops with their shared `RouterState`, rebuilt
-//! verbatim on the public primitives (`Layout`, `SwapCost`,
+//! verbatim on the public primitives (`Layout`, `ScoredGate`,
 //! `DependenceGraph`, `DependenceAnalysis`, the vendored `rand`). Every
 //! pipeline-composed mapper must reproduce these results **bit-for-bit**
 //! — same routed gates, same layouts, same swap counts — across the
 //! differential-test roster, both when called directly and through the
 //! batch engine at 1 and 4 threads.
+//!
+//! The Eq. (2) cost is local too: `FloatCost` is the float fold
+//! `SwapCost::score` evaluated before scoring moved to exact integer
+//! layer sums, so this suite compares the router's scorer against the
+//! old formula, not against itself.
 //!
 //! If a change to the pass pipeline or `RoutingState` alters any mapper's
 //! output, this suite is the tripwire: either the change is a bug, or it
@@ -25,7 +30,7 @@ use topology::{backends, CouplingGraph};
 mod reference {
     use affine::{DependenceAnalysis, WeightMode};
     use circuit::{Circuit, DependenceGraph, Gate};
-    use qlosure::{CostVariant, Layout, MappingResult, OmegaScaling, ScoredGate, SwapCost};
+    use qlosure::{CostVariant, Layout, MappingResult, OmegaScaling, ScoredGate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cmp::Reverse;
@@ -88,6 +93,76 @@ mod reference {
         front_logicals: Vec<u32>,
     }
 
+    /// Eq. (2) as the float fold `SwapCost::score` evaluated before it
+    /// moved to exact integer layer sums: per layer, `Γ_ℓ` accumulates
+    /// `(w · D) · (1/ℓ)` in window order with `w` the f64 ω factor, then
+    /// the layers fold as `decay · Σ fw_ℓ · Γ_ℓ / |G_ℓ|`.
+    struct FloatCost {
+        variant: CostVariant,
+        smoothing: u64,
+        scaling: OmegaScaling,
+        future_weight: f64,
+    }
+
+    impl FloatCost {
+        fn omega_factor(&self, omega: u64) -> f64 {
+            match self.variant {
+                CostVariant::DistanceOnly | CostVariant::LayerAdjusted => 1.0,
+                CostVariant::DependencyWeighted => {
+                    let raw = (omega + self.smoothing) as f64;
+                    match self.scaling {
+                        OmegaScaling::Linear => raw,
+                        OmegaScaling::Sqrt => raw.sqrt(),
+                        OmegaScaling::Log => raw.ln_1p(),
+                    }
+                }
+            }
+        }
+
+        fn layer_discount(&self, layer: usize) -> f64 {
+            match self.variant {
+                CostVariant::DistanceOnly => 1.0,
+                _ => 1.0 / layer as f64,
+            }
+        }
+
+        fn score(
+            &self,
+            gates: &[ScoredGate],
+            layout: &Layout,
+            dist: &DistanceMatrix,
+            decay: f64,
+        ) -> f64 {
+            let mut gamma: Vec<f64> = Vec::new();
+            let mut sizes: Vec<u32> = Vec::new();
+            for g in gates {
+                let layer = g.layer.max(1) as usize;
+                if self.variant == CostVariant::DistanceOnly && layer > 1 {
+                    continue;
+                }
+                if gamma.len() < layer {
+                    gamma.resize(layer, 0.0);
+                    sizes.resize(layer, 0);
+                }
+                let d = dist.get(layout.phys(g.q1), layout.phys(g.q2)) as f64;
+                let w = self.omega_factor(g.omega);
+                gamma[layer - 1] += w * d * self.layer_discount(layer);
+                sizes[layer - 1] += 1;
+            }
+            let sum: f64 = gamma
+                .iter()
+                .zip(&sizes)
+                .enumerate()
+                .filter(|&(_, (_, &n))| n > 0)
+                .map(|(i, (g, &n))| {
+                    let w = if i == 0 { 1.0 } else { self.future_weight };
+                    w * g / n as f64
+                })
+                .sum();
+            decay * sum
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn route(
         circuit: &Circuit,
@@ -107,12 +182,12 @@ mod reference {
         let mut decay = vec![1.0f64; device.n_qubits()];
         let mut clock = vec![0u32; device.n_qubits()];
         let mut clock_max = 0u32;
-        let cost = SwapCost::with_scaling(
-            config.cost,
-            config.omega_smoothing,
-            config.omega_scaling,
-            config.future_weight,
-        );
+        let cost = FloatCost {
+            variant: config.cost,
+            smoothing: config.omega_smoothing,
+            scaling: config.omega_scaling,
+            future_weight: config.future_weight,
+        };
         let c_const = device.max_degree() + config.lookahead_margin.max(1);
         let stall_limit = 3 * dist.diameter() as usize + config.stall_slack;
         let mut stall = 0usize;
