@@ -35,23 +35,12 @@
 //! let squares = engine.execute((0u64..32).collect(), |&x| x * x);
 //! assert_eq!(squares[7], 49); // roster order, whatever the thread count
 //! ```
-//!
-//! ## Streaming intake
-//!
-//! Long-lived consumers (the `qlosure-service` daemon) that receive jobs
-//! one at a time use [`BatchEngine::stream`] instead of
-//! [`BatchEngine::execute`]: a persistent [`StreamEngine`] with a bounded
-//! intake queue, non-blocking submission, cancellation of queued jobs,
-//! and graceful drain-on-shutdown semantics (see the [`stream`](StreamEngine)
-//! docs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
 mod pool;
-mod stream;
 
 pub use batch::{BatchReport, JobReport, MapJob};
 pub use pool::BatchEngine;
-pub use stream::{StreamEngine, SubmitError};

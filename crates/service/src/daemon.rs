@@ -2,11 +2,12 @@
 //! the [`proto`](crate::proto) NDJSON protocol in front of a
 //! [`MappingService`].
 //!
-//! One thread per connection reads frames line by line (bounded at
-//! `MAX_FRAME` bytes), decodes, dispatches, and writes one response line
-//! per request. A `wait` request parks that thread on the job's
-//! completion, so a client learns of a result when it lands instead of
-//! polling for it. The connection layer is the hardened plumbing from
+//! One thread per connection runs the frame loop it shares with the
+//! router: it reads frames line by line (bounded at `MAX_FRAME` bytes),
+//! decodes them, and writes one response line per request. A `wait`
+//! request parks that thread on the job's completion, so a client
+//! learns of a result when it lands instead of polling for it. The
+//! connection layer is the hardened plumbing from
 //! [`crate::net`]: a connection cap with typed `busy` refusals, a
 //! per-connection idle deadline (no slowloris pinning an OS thread), and
 //! graceful shutdown that *joins* every live connection thread. A
@@ -16,13 +17,9 @@
 //! wire.
 
 use crate::intake::{JobOutcome, MappingService, PollReply, ServiceConfig};
-use crate::net::{self, ConnLimits, Endpoint, FrameEvent, Listener, StopFlag, Stream};
-use crate::proto::{
-    encode_response, parse_request, ErrorCode, EventBody, EventsBody, Request, Response, SpanNode,
-    StatsBody, MAX_FRAME,
-};
+use crate::net::{self, ConnLimits, Endpoint, Listener, StopFlag, Stream};
+use crate::proto::{ErrorCode, EventBody, EventsBody, Request, Response, SpanNode, StatsBody};
 use crate::registry;
-use std::io::{BufReader, Write};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -147,7 +144,9 @@ fn serve(listener: Listener, config: DaemonConfig) -> std::io::Result<StatsBody>
         let (service, stop) = (service.clone(), stop.clone());
         let idle = config.read_timeout;
         Arc::new(move |stream: Stream| {
-            let _ = handle_connection(&service, &stop, idle, stream);
+            let _ = net::serve_connection(stream, &stop, idle, |request| {
+                dispatch(&service, &stop, idle, request)
+            });
         })
     };
     let served = net::accept_loop(&listener, &stop, limits, handler);
@@ -156,56 +155,6 @@ fn serve(listener: Listener, config: DaemonConfig) -> std::io::Result<StatsBody>
         std::fs::remove_file(path).ok();
     }
     served.map(|()| stats)
-}
-
-fn handle_connection(
-    service: &MappingService,
-    stop: &StopFlag,
-    idle_limit: Duration,
-    stream: Stream,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let line = match net::read_frame(&mut reader, stop.flag(), idle_limit)? {
-            FrameEvent::Frame(line) => line,
-            // Client hung up or the daemon is shutting down: close so
-            // the accept loop can join.
-            FrameEvent::Eof | FrameEvent::Shutdown => return Ok(()),
-            // Idle past the deadline: same close, but journaled — a
-            // client that keeps timing out is worth noticing.
-            FrameEvent::IdleTimeout => {
-                journal::event(
-                    Level::Info,
-                    "net",
-                    "idle connection disconnected",
-                    &[("idle_seconds", &format!("{:.1}", idle_limit.as_secs_f64()))],
-                );
-                return Ok(());
-            }
-            FrameEvent::Oversized(len) => {
-                // The connection is desynchronized past an oversized
-                // frame; answer and close.
-                let response = Response::Error {
-                    code: ErrorCode::Oversized,
-                    message: format!("frame of {len}+ bytes exceeds the {MAX_FRAME}-byte limit"),
-                };
-                let frame = encode_response(&response).map_err(std::io::Error::other)?;
-                writer.write_all(format!("{frame}\n").as_bytes())?;
-                return Ok(());
-            }
-        };
-        if line.is_empty() {
-            continue; // tolerate blank keep-alive lines
-        }
-        let (response, end) = dispatch(service, stop, idle_limit, &line);
-        let frame = encode_response(&response).map_err(std::io::Error::other)?;
-        writer.write_all(format!("{frame}\n").as_bytes())?;
-        writer.flush()?;
-        if end {
-            return Ok(());
-        }
-    }
 }
 
 /// Snapshots the process-local event journal into a wire body: events
@@ -245,27 +194,15 @@ fn job_reply(service: &MappingService, id: u64) -> Response {
     }
 }
 
-/// Decodes and executes one frame; the flag says whether this frame ends
-/// the connection (a shutdown acknowledgement). A `wait` parks this
+/// Executes one request; the flag says whether its response ends the
+/// connection (a shutdown acknowledgement). A `wait` parks this
 /// connection's thread for at most `idle_limit`.
 fn dispatch(
     service: &MappingService,
     stop: &StopFlag,
     idle_limit: Duration,
-    line: &str,
+    request: Request,
 ) -> (Response, bool) {
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(e) => {
-            return (
-                Response::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-                false,
-            )
-        }
-    };
     match request {
         Request::Submit {
             backend,

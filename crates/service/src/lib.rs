@@ -5,12 +5,11 @@
 //! stack resident: `qlosured` listens on a Unix domain socket, speaks a
 //! versioned newline-delimited JSON protocol ([`proto`]), and drives
 //! requests through an asynchronous intake layer ([`intake`]) — a bounded
-//! admission queue with interactive-over-batch priority, a scheduler
-//! thread draining into the engine's persistent
-//! [`StreamEngine`](engine::StreamEngine) workers, and a bounded FIFO
-//! result store keyed by request ID, which a client reads with one
-//! `wait` request that the daemon parks until the job finishes. Because
-//! the process lives on, the shared per-device caches
+//! admission queue with interactive-over-batch priority, mapping workers
+//! that each take the next job from it when they come free, and a
+//! bounded FIFO result store keyed by request ID, which a client reads
+//! with one `wait` request that the daemon parks until the job finishes.
+//! Because the process lives on, the shared per-device caches
 //! (`CouplingGraph::shared_distances`, the Presburger closure memo)
 //! amortize across requests, and the daemon's `stats` response reports
 //! their hit/miss counters so that amortization is observable.
@@ -20,14 +19,14 @@
 //! * [`proto`] — wire types declared once as field tables (each table is
 //!   the type, its encoder and its decoder), typed errors,
 //!   [`proto::PROTOCOL_VERSION`];
-//! * [`intake`] — [`MappingService`]: admission, scheduling, results,
-//!   graceful drain-then-exit shutdown;
+//! * [`intake`] — [`MappingService`]: admission, the worker pool that
+//!   schedules at pickup, results, graceful drain-then-exit shutdown;
 //! * [`registry`] — request decoding (backend/mapper/QASM → job spec);
 //! * [`net`] — the transport layer: [`Endpoint`] (`unix:/path` or
 //!   `tcp:host:port`), stream/listener wrappers, and the hardened
-//!   connection plumbing (bounded resumable frame reads, connection cap,
-//!   idle deadlines, a blocking accept that shutdown wakes,
-//!   join-on-shutdown);
+//!   connection plumbing both servers share (one frame loop with bounded
+//!   resumable reads, connection cap, idle deadlines, a blocking accept
+//!   that shutdown wakes, join-on-shutdown);
 //! * [`daemon`] — the socket server (`qlosured` is a thin `main` over
 //!   [`daemon::run`]), serving either transport;
 //! * [`router`] — `qlosure-router`: a balancer fronting N `qlosured`

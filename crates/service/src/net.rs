@@ -15,6 +15,9 @@
 //! It also owns the hardened connection plumbing both servers
 //! (`qlosured` and `qlosure-router`) share:
 //!
+//! * `serve_connection` — the one frame loop: read a frame, parse it,
+//!   hand the request to the server's dispatcher, write its response;
+//!   unparseable and oversized frames are answered with typed errors;
 //! * `read_frame` — a resumable bounded frame reader that survives
 //!   read-timeout wakeups (so a connection thread can observe shutdown),
 //!   cuts oversized frames off mid-read, and enforces an idle deadline
@@ -27,7 +30,7 @@
 //!   blocked `accept` by connecting to the listener once, so nothing on
 //!   the serving path sleeps on a timer.
 
-use crate::proto::{encode_response, ErrorCode, Response, MAX_FRAME};
+use crate::proto::{encode_response, parse_request, ErrorCode, Request, Response, MAX_FRAME};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -170,11 +173,6 @@ impl StopFlag {
         }
     }
 
-    /// The flag itself, for [`read_frame`] to observe.
-    pub(crate) fn flag(&self) -> &AtomicBool {
-        &self.raised
-    }
-
     pub(crate) fn is_raised(&self) -> bool {
         self.raised.load(Ordering::SeqCst)
     }
@@ -290,7 +288,7 @@ impl Write for Stream {
 }
 
 /// What [`read_frame`] observed on the connection.
-pub(crate) enum FrameEvent {
+enum FrameEvent {
     /// One complete `\n`-terminated frame (newline stripped, lossy UTF-8).
     Frame(String),
     /// The peer closed the connection (a partial unterminated frame, if
@@ -314,7 +312,7 @@ pub(crate) enum FrameEvent {
 /// The stream's read timeout must be set (to [`CONN_TICK`]) so a blocked
 /// read wakes periodically; partial bytes accumulated before a wakeup are
 /// kept and the read resumes where it left off.
-pub(crate) fn read_frame<S: Read>(
+fn read_frame<S: Read>(
     reader: &mut BufReader<S>,
     shutdown: &AtomicBool,
     idle_limit: Duration,
@@ -360,6 +358,67 @@ pub(crate) fn read_frame<S: Read>(
                 }
             }
             Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Serves one connection until the peer hangs up, the server stops, the
+/// idle deadline passes or `answer` ends it. Each frame is parsed and
+/// handed to `answer`, whose response is written back as one line; its
+/// flag says whether that response ends the connection (a shutdown
+/// acknowledgement). A frame that does not parse is answered with its
+/// typed error and the connection keeps serving; a frame cut off at the
+/// [`MAX_FRAME`] bound is answered with `oversized` and the connection
+/// closed, since it is desynchronized past that point.
+pub(crate) fn serve_connection(
+    stream: Stream,
+    stop: &StopFlag,
+    idle_limit: Duration,
+    mut answer: impl FnMut(Request) -> (Response, bool),
+) -> std::io::Result<()> {
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    loop {
+        let (response, end) = match read_frame(&mut reader, &stop.raised, idle_limit)? {
+            // Tolerate blank keep-alive lines.
+            FrameEvent::Frame(line) if line.is_empty() => continue,
+            FrameEvent::Frame(line) => match parse_request(&line) {
+                Ok(request) => answer(request),
+                Err(e) => (
+                    Response::Error {
+                        code: e.code(),
+                        message: e.to_string(),
+                    },
+                    false,
+                ),
+            },
+            FrameEvent::Oversized(len) => (
+                Response::Error {
+                    code: ErrorCode::Oversized,
+                    message: format!("frame of {len}+ bytes exceeds the {MAX_FRAME}-byte limit"),
+                },
+                true,
+            ),
+            // The client hung up or the server is stopping: close so the
+            // accept loop can join.
+            FrameEvent::Eof | FrameEvent::Shutdown => return Ok(()),
+            // Idle past the deadline: same close, but journaled — a
+            // client that keeps timing out is worth noticing.
+            FrameEvent::IdleTimeout => {
+                journal::event(
+                    Level::Info,
+                    "net",
+                    "idle connection disconnected",
+                    &[("idle_seconds", &format!("{:.1}", idle_limit.as_secs_f64()))],
+                );
+                return Ok(());
+            }
+        };
+        let frame = encode_response(&response).map_err(std::io::Error::other)?;
+        writer.write_all(format!("{frame}\n").as_bytes())?;
+        writer.flush()?;
+        if end {
+            return Ok(());
         }
     }
 }

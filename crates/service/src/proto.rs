@@ -1025,9 +1025,8 @@ wire_frames! {
         Pending = "pending" {
             /// The polled ID.
             req id: u64,
-            /// `true` once the job left the admission queue toward the
-            /// workers (running or about to run — past the point where
-            /// priority can reorder it).
+            /// `true` once a worker is running it; `false` while it waits
+            /// in the admission queue, where priority can still reorder it.
             req running: bool,
         },
         /// The job finished and verified.

@@ -30,12 +30,10 @@
 //! streams. `shutdown` fans out, then stops the router itself.
 
 use crate::client::{Client, ClientError};
-use crate::net::{self, ConnLimits, Endpoint, FrameEvent, StopFlag, Stream};
+use crate::net::{self, ConnLimits, Endpoint, StopFlag, Stream};
 use crate::proto::{
-    encode_response, parse_request, ErrorCode, HistoryBody, MetricsBody, Request, Response,
-    SpanNode, StatsBody, MAX_FRAME, PROTOCOL_VERSION,
+    ErrorCode, HistoryBody, MetricsBody, Request, Response, SpanNode, StatsBody, PROTOCOL_VERSION,
 };
-use std::io::{BufReader, Write};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -148,7 +146,10 @@ fn serve(listener: net::Listener, config: RouterConfig) -> std::io::Result<()> {
         let shards = config.shards.clone();
         let idle = config.read_timeout;
         Arc::new(move |stream: Stream| {
-            let _ = handle_connection(&shards, &stop, idle, stream);
+            let mut pool = ShardPool::new(&shards);
+            let _ = net::serve_connection(stream, &stop, idle, |request| {
+                route(&mut pool, &stop, request)
+            });
         })
     };
     let served = net::accept_loop(&listener, &stop, limits, handler);
@@ -274,66 +275,9 @@ fn unavailable(idx: usize, endpoint: &Endpoint, detail: &str) -> Response {
     }
 }
 
-fn handle_connection(
-    shards: &[Endpoint],
-    stop: &StopFlag,
-    idle_limit: Duration,
-    stream: Stream,
-) -> std::io::Result<()> {
-    let mut pool = ShardPool::new(shards);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let line = match net::read_frame(&mut reader, stop.flag(), idle_limit)? {
-            FrameEvent::Frame(line) => line,
-            FrameEvent::Eof | FrameEvent::Shutdown => return Ok(()),
-            FrameEvent::IdleTimeout => {
-                journal::event(
-                    Level::Info,
-                    "net",
-                    "idle connection disconnected",
-                    &[("idle_seconds", &format!("{:.1}", idle_limit.as_secs_f64()))],
-                );
-                return Ok(());
-            }
-            FrameEvent::Oversized(len) => {
-                let response = Response::Error {
-                    code: ErrorCode::Oversized,
-                    message: format!("frame of {len}+ bytes exceeds the {MAX_FRAME}-byte limit"),
-                };
-                let frame = encode_response(&response).map_err(std::io::Error::other)?;
-                writer.write_all(format!("{frame}\n").as_bytes())?;
-                return Ok(());
-            }
-        };
-        if line.is_empty() {
-            continue;
-        }
-        let (response, end) = route(&mut pool, stop, &line);
-        let frame = encode_response(&response).map_err(std::io::Error::other)?;
-        writer.write_all(format!("{frame}\n").as_bytes())?;
-        writer.flush()?;
-        if end {
-            return Ok(());
-        }
-    }
-}
-
-/// Decodes one frame and routes it; the flag says whether this frame ends
-/// the connection (a shutdown acknowledgement).
-fn route(pool: &mut ShardPool<'_>, stop: &StopFlag, line: &str) -> (Response, bool) {
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(e) => {
-            return (
-                Response::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-                false,
-            )
-        }
-    };
+/// Routes one request; the flag says whether its response ends the
+/// connection (a shutdown acknowledgement).
+fn route(pool: &mut ShardPool<'_>, stop: &StopFlag, request: Request) -> (Response, bool) {
     let n = pool.endpoints.len() as u64;
     match request {
         submit @ Request::Submit { .. } => {

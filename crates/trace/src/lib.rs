@@ -1,8 +1,8 @@
 //! # qlosure-trace — per-job span trees and the process event journal
 //!
 //! The serving tier attributes a job's wall time to stages (queue wait,
-//! engine pickup, every mapping pass, each hierarchical fragment, plan-store
-//! tier decisions) by recording **spans** into a per-job [`Tracer`]. The
+//! every mapping pass, each hierarchical fragment, plan-store tier
+//! decisions) by recording **spans** into a per-job [`Tracer`]. The
 //! design constraints, in order:
 //!
 //! 1. **Near-zero cost when disabled.** Instrumented code calls
@@ -26,11 +26,10 @@
 //! queue-wait span) agree bit-for-bit when derived from the same two
 //! stamps.
 //!
-//! Context hops threads explicitly: the submitting thread's context is
-//! captured with [`current_ctx`] and re-installed on the worker with
-//! [`set_ctx`]. Span guards nest through the thread-local parent pointer:
-//! while a [`SpanGuard`] is live, new spans on the same thread become its
-//! children.
+//! A context crosses threads by value: the thread that runs a job
+//! installs a [`Ctx`] for it with [`set_ctx`]. Span guards nest through
+//! the thread-local parent pointer: while a [`SpanGuard`] is live, new
+//! spans on the same thread become its children.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -209,26 +208,10 @@ impl Ctx {
             slot: Some((tracer, parent)),
         }
     }
-
-    /// Whether this context records anything.
-    pub fn enabled(&self) -> bool {
-        self.slot.is_some()
-    }
-
-    /// The tracer behind this context, if enabled.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.slot.as_ref().map(|(t, _)| t)
-    }
 }
 
 thread_local! {
     static CTX: RefCell<Ctx> = RefCell::new(Ctx::default());
-}
-
-/// The calling thread's current context — capture it before handing work
-/// to another thread, then [`set_ctx`] there.
-pub fn current_ctx() -> Ctx {
-    CTX.with(|c| c.borrow().clone())
 }
 
 /// Installs `ctx` on the calling thread until the returned guard drops
@@ -345,23 +328,6 @@ pub fn span_label(stage: &str, name: &str) -> SpanGuard {
     span_with(|| format!("{stage}:{name}"))
 }
 
-/// Records a retroactive `[start_ns, end_ns]` span as a child of the
-/// thread's current parent. No-op without a context.
-pub fn record_span(name: &str, start_ns: u64, end_ns: u64) {
-    let slot = CTX.with(|c| c.borrow().slot.clone());
-    if let Some((tracer, parent)) = slot {
-        let id = tracer.next_span_id();
-        tracer.record(Span {
-            id,
-            parent,
-            name: name.to_string(),
-            start_ns,
-            end_ns,
-            notes: Vec::new(),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::journal::{dropped_total, enable_with_capacity, event, events_since, recent, Level};
@@ -385,7 +351,6 @@ mod tests {
         });
         drop(guard);
         assert!(!evaluated, "notes must not be evaluated when disabled");
-        record_span("also-nothing", 0, 1);
     }
 
     #[test]
@@ -440,11 +405,9 @@ mod tests {
         let _g = set_ctx(&ctx);
         {
             let _quiet = set_ctx(&Ctx::default());
-            assert!(!current_ctx().enabled());
-            drop(span("invisible"));
+            assert!(!span("invisible").enabled());
         }
-        assert!(current_ctx().enabled());
-        record_span("visible", 1, 2);
+        assert!(span("visible").enabled());
         let spans = tracer.snapshot();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "visible");
@@ -455,10 +418,7 @@ mod tests {
     fn context_hops_threads() {
         let tracer = Tracer::new(3, 8);
         let ctx = Ctx::new(tracer.clone(), ROOT_SPAN);
-        let captured = {
-            let _g = set_ctx(&ctx);
-            current_ctx()
-        };
+        let captured = ctx.clone();
         std::thread::spawn(move || {
             let _g = set_ctx(&captured);
             drop(span("on-worker"));
@@ -468,6 +428,7 @@ mod tests {
         let spans = tracer.snapshot();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "on-worker");
+        assert_eq!(spans[0].parent, ROOT_SPAN);
     }
 
     #[test]
