@@ -1075,13 +1075,13 @@ fn execute_job(job: &AdmittedJob, queue_seconds: f64) -> JobOutcome {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::registry;
     use qlosure::QlosureMapper;
     use topology::backends;
 
-    fn spec(priority: Priority, depth: usize, seed: u64) -> JobSpec {
+    pub(crate) fn spec(priority: Priority, depth: usize, seed: u64) -> JobSpec {
         let device = Arc::new(backends::aspen16());
         let bench = queko::QuekoSpec::new(&device, depth).seed(seed).generate();
         JobSpec {
@@ -1094,7 +1094,7 @@ mod tests {
         }
     }
 
-    fn service(workers: usize, queue: usize, results: usize) -> MappingService {
+    pub(crate) fn service(workers: usize, queue: usize, results: usize) -> MappingService {
         MappingService::start(ServiceConfig {
             workers,
             queue_capacity: queue,
@@ -1170,10 +1170,10 @@ mod tests {
     /// failing assertion never leaves a worker blocked in the shutdown
     /// that drops the service.
     #[derive(Default)]
-    struct Gate(Arc<(Mutex<bool>, Condvar)>);
+    pub(crate) struct Gate(pub(crate) Arc<(Mutex<bool>, Condvar)>);
 
     impl Gate {
-        fn open(&self) {
+        pub(crate) fn open(&self) {
             let (open, cv) = &*self.0;
             *open.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = true;
             cv.notify_all();
@@ -1188,7 +1188,7 @@ mod tests {
 
     /// Blocks until its gate opens, then routes like `qlosure`: holds a
     /// worker for exactly as long as the test keeps the gate shut.
-    struct Gated(Arc<(Mutex<bool>, Condvar)>);
+    pub(crate) struct Gated(pub(crate) Arc<(Mutex<bool>, Condvar)>);
 
     impl Mapper for Gated {
         fn name(&self) -> &str {

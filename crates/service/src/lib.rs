@@ -81,3 +81,6 @@ pub use proto::{
     PROTOCOL_VERSION,
 };
 pub use router::{content_shard, RouterConfig, RouterHandle};
+
+#[cfg(test)]
+mod stream;
