@@ -207,3 +207,74 @@ fn hier_pipeline_reports_per_pass_timings() {
         ]
     );
 }
+
+/// A hier instance whose layout cannot keep every interacting pair in
+/// one region: QUEKO traffic for the 54-qubit Sycamore, routed on a
+/// 16×16 grid whose auto-sized regions hold 16 qubits each.
+fn stitched_instance() -> (String, Arc<Circuit>, Arc<CouplingGraph>) {
+    let gen_device = backends::sycamore54();
+    let bench = queko::QuekoSpec::new(&gen_device, 30).seed(5).generate();
+    let device = backends::by_name("grid:16x16").expect("grid resolves");
+    (
+        format!("queko54-d30-s5-hier-{}", device.name()),
+        Arc::new(bench.circuit),
+        Arc::new(device),
+    )
+}
+
+/// SWAPs, routed depth and `service::result_fingerprint` of every
+/// `roster()` job and of `stitched_instance()` under the default
+/// `HierMapper`, in that order.
+const FROZEN_HIER_ROUTES: [(usize, usize, u64); 9] = [
+    (87, 99, 0x4d8b6783d939ea75),   // queko16-d30-s0 on ankaa3
+    (86, 104, 0xdb23f04cecf201b9),  // queko16-d30-s1 on ankaa3
+    (129, 161, 0x07c46d76b6b5ed49), // queko16-d60-s0 on ankaa3
+    (257, 227, 0xa1b2de6ef6dd74cf), // queko16-d60-s1 on ankaa3
+    (61, 78, 0x98c545c201df8e8d),   // queko16-d30-s0 on grid:6x6
+    (72, 74, 0xed5bd9d56c2a3e2d),   // queko16-d30-s1 on grid:6x6
+    (149, 172, 0x6a43c46ee861ccbb), // queko16-d60-s0 on grid:6x6
+    (135, 147, 0xc0613ed257457ba0), // queko16-d60-s1 on grid:6x6
+    (738, 247, 0xedaf55212b415683), // queko54-d30-s5 on grid:16x16
+];
+
+#[test]
+fn hier_routes_match_their_frozen_fingerprints() {
+    // The other tests here compare hier runs with each other; this one
+    // pins what hier routes, so a change that moves every route alike
+    // still shows.
+    let mut cases: Vec<(String, Arc<Circuit>, Arc<CouplingGraph>)> = roster()
+        .into_iter()
+        .map(|job| (job.label, job.circuit, job.device))
+        .collect();
+    cases.push(stitched_instance());
+    assert_eq!(cases.len(), FROZEN_HIER_ROUTES.len());
+    let mapper = HierMapper::default();
+    for ((label, circuit, device), frozen) in cases.iter().zip(FROZEN_HIER_ROUTES) {
+        let r = mapper.map(circuit, device);
+        let route = (r.swaps, r.routed.depth(), service::result_fingerprint(&r));
+        assert_eq!(route, frozen, "{label}: hier route moved");
+    }
+
+    // The last case stitches across regions: its SWAPs outnumber the
+    // ones its fragment plans replay.
+    let (_, circuit, device) = stitched_instance();
+    let tracer = trace::Tracer::new(0x5717_c4ed, 1 << 16);
+    let r = {
+        let _ctx = trace::set_ctx(&trace::Ctx::new(tracer.clone(), trace::ROOT_SPAN));
+        mapper.map(&circuit, &device)
+    };
+    let plan_swaps: usize = tracer
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == "hier:fragment")
+        .flat_map(|s| &s.notes)
+        .filter(|(key, _)| key == "swaps")
+        .map(|(_, n)| n.parse::<usize>().expect("a SWAP count"))
+        .sum();
+    assert_eq!(tracer.dropped(), 0, "the sink held every span");
+    assert!(
+        plan_swaps < r.swaps,
+        "no stitch: {plan_swaps} plan SWAPs of {}",
+        r.swaps
+    );
+}
