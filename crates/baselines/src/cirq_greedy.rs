@@ -88,7 +88,7 @@ impl RoutingPass for CirqRoutingPass {
         let stall_limit = 2 * st.dist().diameter() as usize + self.config.stall_slack;
         let mut stall = 0usize;
         loop {
-            if st.execute_ready().ran > 0 {
+            if st.execute_ready() > 0 {
                 stall = 0;
             }
             let slice = st.blocked_front();

@@ -100,7 +100,7 @@ impl RoutingPass for SabreRoutingPass {
         let mut stall = 0usize;
         let mut rounds_since_reset = 0usize;
         loop {
-            if st.execute_ready().ran > 0 {
+            if st.execute_ready() > 0 {
                 st.reset_decay();
                 stall = 0;
                 rounds_since_reset = 0;

@@ -137,7 +137,7 @@ impl RoutingPass for TketRoutingPass {
         let stall_limit = 2 * st.dist().diameter() as usize + self.config.stall_slack;
         let mut stall = 0usize;
         loop {
-            if st.execute_ready().ran > 0 {
+            if st.execute_ready() > 0 {
                 stall = 0;
             }
             let front = st.blocked_front();

@@ -58,7 +58,7 @@ fn drive_incremental(w: &Workload, device: &CouplingGraph) -> usize {
     let mut candidate_edges = 0usize;
     for &(p1, p2) in &w.swaps {
         st.execute_ready();
-        candidate_edges += st.swap_candidates_logical().len();
+        candidate_edges += st.swap_candidates().len();
         st.apply_swap(p1, p2);
     }
     st.execute_ready();

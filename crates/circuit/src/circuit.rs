@@ -104,14 +104,6 @@ impl Circuit {
         self.gates.extend(other.gates.iter().cloned());
     }
 
-    /// Truncates the gate list to its first `len` gates (no-op when the
-    /// circuit is already that short). Backs the undo deltas of routing
-    /// state: appended gates are rolled back by truncating to the
-    /// remembered length.
-    pub fn truncate(&mut self, len: usize) {
-        self.gates.truncate(len);
-    }
-
     // --- gate builders (fluent, panic on out-of-range operands) ---
 
     /// Hadamard.

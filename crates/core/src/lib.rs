@@ -19,8 +19,8 @@
 //!   `weights → layout → qlosure-route`, configurable via
 //!   [`QlosureConfig`] (including the §VI-E ablation variants);
 //! * [`RoutingState`] — the incremental front-layer / decay / clock /
-//!   candidate-SWAP state machine with apply/undo deltas, shared by every
-//!   routing pass;
+//!   candidate-SWAP state machine with one index-order walk over the
+//!   gates left to route, shared by every routing pass;
 //! * [`Mapper`] / [`MappingResult`] — the interface shared with the
 //!   baseline mappers (`Mapper::map` stays a thin adapter over the
 //!   pipeline; [`Mapper::pipeline`] exposes the composition for per-pass
@@ -74,7 +74,7 @@ pub use pipeline::{route_qasm, PipelineError};
 pub use router::{
     BidirectionalLayoutPass, InitialMapping, QlosureConfig, QlosureMapper, QlosureRoutingPass,
 };
-pub use state::{ExecDelta, RoutingState, StateFingerprint, SwapDelta};
+pub use state::{RoutingState, StateFingerprint};
 
 use circuit::Circuit;
 use topology::CouplingGraph;

@@ -22,8 +22,6 @@ use affine::{DependenceAnalysis, WeightMode};
 use circuit::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use topology::{CouplingGraph, DistanceMatrix};
 
 /// How the initial logical→physical assignment is chosen (§V-B.4, §VI-E).
@@ -278,17 +276,17 @@ impl RoutingPass for QlosureRoutingPass {
 /// The layered look-ahead window of §V-C, with its reusable scratch
 /// buffers: the blocked front gates (layer 1) plus the topologically
 /// earliest `k = c·nf` upcoming two-qubit gates, layered by dependence
-/// distance from the front. `front_logicals` holds the sorted operands of
-/// the front gates the walk *visited* — the look-ahead budget `k` can cut
-/// the walk off before a high-index front gate pops, and those unvisited
-/// gates contribute no SWAP candidates (faithful to the paper's §V-D
-/// candidate rule, which draws candidates from the window).
+/// distance from the front. The walk is [`RoutingState::pending`], the
+/// unexecuted gates in index order. `front_logicals` holds the sorted
+/// operands of the front gates the walk *visited* — the look-ahead budget
+/// `k` can cut the walk off before a high-index front gate, and those
+/// unvisited gates contribute no SWAP candidates (faithful to the paper's
+/// §V-D candidate rule, which draws candidates from the window).
 ///
 /// The window is a pure function of the front layer (gate order, weights
 /// and dependence structure are layout-independent), so it is cached on
 /// [`RoutingState::front_version`]: consecutive SWAP steps with an
-/// unchanged front reuse it outright, and a rebuild reuses the
-/// epoch-stamped buffers instead of fresh `vec![false; n]` allocations.
+/// unchanged front reuse it outright, and a rebuild reuses its buffers.
 ///
 /// On top of the window it carries the **step state** of the batched
 /// scorer, in exact integers: each scored gate's weight, layer, physical
@@ -309,10 +307,8 @@ pub(crate) struct WindowScratch {
     /// Sorted, deduplicated logical operands of the *visited* front gates
     /// (the candidate base of §V-D).
     pub front_logicals: Vec<u32>,
+    /// Per gate: its layer in the last window that reached it.
     layer: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    heap: BinaryHeap<Reverse<u32>>,
     /// `RoutingState::front_version` the window was built for (0 = never).
     built_for: u64,
     /// Per-directed-edge stamps for candidate dedup.
@@ -356,9 +352,6 @@ impl WindowScratch {
             gates: Vec::new(),
             front_logicals: Vec::new(),
             layer: vec![0; n_gates],
-            stamp: vec![0; n_gates],
-            epoch: 0,
-            heap: BinaryHeap::new(),
             built_for: 0,
             edge_stamp: vec![0; device.n_directed_edges()],
             edge_epoch: 0,
@@ -382,43 +375,28 @@ impl WindowScratch {
         self.built_for = state.front_version();
         self.gates.clear();
         self.front_logicals.clear();
-        self.heap.clear();
-        self.epoch += 1;
-        let epoch = self.epoch;
         // nf = number of distinct logical qubits in the blocked front; the
         // state caches the sorted operand list across swap steps.
         let nf = state.front_logicals().len();
         let k = c_const * nf.max(1);
-        for &g in state.front() {
-            self.stamp[g as usize] = epoch;
-            self.layer[g as usize] = 0;
-            self.heap.push(Reverse(g));
-        }
+        let state = &*state;
         let circuit = state.circuit();
         let dag = state.dag();
         let mut collected = 0usize;
-        while let Some(Reverse(g)) = self.heap.pop() {
+        for g in state.pending() {
             let gate = &circuit.gates()[g as usize];
-            // Every walked gate is unexecuted (front gates and their
-            // transitive successors), so front membership is exactly
-            // "no unexecuted predecessors" — one bit test.
             let is_front = state.in_front(g);
             let l = if is_front {
                 u32::from(gate.is_two_qubit())
             } else {
-                // All unexecuted predecessors were popped earlier (smaller
-                // topological index); executed or unvisited ones contribute
-                // layer 0, which the epoch stamp encodes.
+                // An unexecuted predecessor has a smaller index, so the
+                // scan has already layered it; an executed one counts as
+                // layer 0.
                 let base = dag
                     .preds(g)
                     .iter()
-                    .map(|&p| {
-                        if self.stamp[p as usize] == epoch {
-                            self.layer[p as usize]
-                        } else {
-                            0
-                        }
-                    })
+                    .filter(|&&p| !state.executed(p))
+                    .map(|&p| self.layer[p as usize])
                     .max()
                     .unwrap_or(0);
                 base + u32::from(gate.is_two_qubit())
@@ -439,13 +417,6 @@ impl WindowScratch {
                     if collected >= k {
                         break;
                     }
-                }
-            }
-            for &s in dag.succs(g) {
-                if self.stamp[s as usize] != epoch {
-                    self.stamp[s as usize] = epoch;
-                    self.layer[s as usize] = 0;
-                    self.heap.push(Reverse(s));
                 }
             }
         }
@@ -647,7 +618,7 @@ pub(crate) fn route_with(
     let mut best: Vec<(u32, u32)> = Vec::new();
     loop {
         // EXTRACT_READY_GATES: everything in Lf executable under φ.
-        if state.execute_ready().ran > 0 {
+        if state.execute_ready() > 0 {
             state.reset_decay();
             stall = 0;
         }
@@ -1028,7 +999,7 @@ mod tests {
         let mut candidates = Vec::new();
         let (mut stall, mut steps, mut bypassed, mut scored) = (0usize, 0usize, 0usize, 0usize);
         loop {
-            if state.execute_ready().ran > 0 {
+            if state.execute_ready() > 0 {
                 state.reset_decay();
                 stall = 0;
             }
@@ -1146,6 +1117,194 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded random circuit of `n_gates` gates: mostly `cx`, with `h`,
+    /// measures and three-qubit barriers in between. Runs of 40 gates
+    /// alternate between the two halves of the qubits, so front gates lie
+    /// far apart and the window budget can stop a walk before the last.
+    fn mixed_circuit(n_qubits: u32, n_gates: usize, seed: u64) -> Circuit {
+        let half = u64::from(n_qubits / 2);
+        let mut c = Circuit::new(n_qubits as usize);
+        let mut s = seed;
+        for i in 0..n_gates {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let base = if (i / 40) % 2 == 0 { 0 } else { half };
+            let a = (base + (s >> 33) % half) as u32;
+            let b = (base + (s >> 13) % half) as u32;
+            let m = (base + (s >> 23) % half) as u32;
+            match s >> 60 {
+                0 => c.h(a),
+                1 => c.measure(a),
+                2 if a != b && b != m && a != m => c.barrier(&[a, b, m]),
+                _ if a != b => c.cx(a, b),
+                _ => {}
+            }
+        }
+        c
+    }
+
+    /// One window gate as the tests compare it: operands, ω and layer.
+    type WindowRow = (u32, u32, u64, u32);
+
+    /// The look-ahead window as a `BinaryHeap` walk builds it: pop the
+    /// front gates and their transitive successors in index order, layer
+    /// each from its visited predecessors, and stop after `k` two-qubit
+    /// gates beyond the front. Returns the window's `(q1, q2, ω, layer)`
+    /// rows and the sorted operands of the front gates it visited.
+    fn heap_window(
+        state: &RoutingState<'_>,
+        weights: &[u64],
+        c_const: usize,
+    ) -> (Vec<WindowRow>, Vec<u32>) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let gates = state.circuit().gates();
+        let mut front_operands: Vec<u32> = state
+            .front()
+            .iter()
+            .filter_map(|&g| gates[g as usize].qubit_pair())
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        front_operands.sort_unstable();
+        front_operands.dedup();
+        let k = c_const * front_operands.len().max(1);
+        let n = gates.len();
+        let (mut visited, mut layer) = (vec![false; n], vec![0u32; n]);
+        let mut heap = BinaryHeap::new();
+        for &g in state.front() {
+            visited[g as usize] = true;
+            heap.push(Reverse(g));
+        }
+        let (mut window, mut front_logicals, mut collected) = (Vec::new(), Vec::new(), 0);
+        while let Some(Reverse(g)) = heap.pop() {
+            let gate = &gates[g as usize];
+            let is_front = state.in_degree(g) == 0;
+            let base = if is_front {
+                0
+            } else {
+                let preds = state.dag().preds(g).iter();
+                let visited_preds = preds.filter(|&&p| visited[p as usize]);
+                visited_preds.map(|&p| layer[p as usize]).max().unwrap_or(0)
+            };
+            layer[g as usize] = base + u32::from(gate.is_two_qubit());
+            if let Some((a, b)) = gate.qubit_pair() {
+                let omega = weights.get(g as usize).copied().unwrap_or(0);
+                window.push((a, b, omega, layer[g as usize]));
+                if is_front {
+                    front_logicals.extend([a, b]);
+                } else {
+                    collected += 1;
+                    if collected >= k {
+                        break;
+                    }
+                }
+            }
+            for &s in state.dag().succs(g) {
+                if !visited[s as usize] {
+                    visited[s as usize] = true;
+                    heap.push(Reverse(s));
+                }
+            }
+        }
+        front_logicals.sort_unstable();
+        front_logicals.dedup();
+        (window, front_logicals)
+    }
+
+    /// Routes `circuit` greedily through the window (lowest batched score
+    /// wins; decay and the stall fallback as in `route_with`) and checks
+    /// the window against [`heap_window`] at every step. Returns the
+    /// number of steps whose window stopped before the last front gate.
+    fn check_window_scan(
+        circuit: &Circuit,
+        device: &CouplingGraph,
+        config: &QlosureConfig,
+    ) -> usize {
+        let analysis = DependenceAnalysis::new(circuit, WeightMode::Graph);
+        let weights = analysis.weights();
+        let cost = SwapCost::with_scaling(
+            config.cost,
+            config.omega_smoothing,
+            config.omega_scaling,
+            config.future_weight,
+        );
+        let dist = device.distances();
+        let c_const = device.max_degree() + config.lookahead_margin;
+        let stall_limit = 3 * dist.diameter() as usize + config.stall_slack;
+        let layout = Layout::identity(circuit.n_qubits(), device.n_qubits());
+        let mut state = RoutingState::new(circuit, device, &dist, layout);
+        let mut window = WindowScratch::new(circuit.gates().len(), device);
+        let mut candidates = Vec::new();
+        let (mut stall, mut cut) = (0usize, 0usize);
+        loop {
+            if state.execute_ready() > 0 {
+                state.reset_decay();
+                stall = 0;
+            }
+            if state.is_done() {
+                break;
+            }
+            window.rebuild(&mut state, weights, c_const);
+            let (expect, front_logicals) = heap_window(&state, weights, c_const);
+            let scanned: Vec<WindowRow> = window
+                .gates
+                .iter()
+                .map(|g| (g.q1, g.q2, g.omega, g.layer))
+                .collect();
+            assert_eq!(scanned, expect, "window gates, front {:?}", state.front());
+            assert_eq!(window.front_logicals, front_logicals, "front logicals");
+            if front_logicals.len() < state.front_logicals().len() {
+                cut += 1;
+            }
+            window.begin_step(&state, &cost);
+            window.swap_candidates(&state, &mut candidates);
+            let mut best = (f64::INFINITY, (0, 0));
+            for &(p1, p2) in &candidates {
+                let decay = state.decay(p1).max(state.decay(p2));
+                let (score, _) = window.score_candidate(&cost, &dist, p1, p2, decay);
+                if score < best.0 {
+                    best = (score, (p1, p2));
+                }
+            }
+            let (p1, p2) = best.1;
+            state.apply_swap(p1, p2);
+            window.commit_swap(&state, p1, p2);
+            state.bump_decay(p1, config.decay_delta);
+            state.bump_decay(p2, config.decay_delta);
+            stall += 1;
+            if stall > stall_limit {
+                let g = state.front()[0];
+                state.force_route(g);
+                state.reset_decay();
+                stall = 0;
+            }
+        }
+        cut
+    }
+
+    #[test]
+    fn window_scan_equals_the_heap_walk() {
+        // Margin 1 keeps the budget `k` tight enough to stop some walks
+        // before the last front gate.
+        let config = QlosureConfig {
+            lookahead_margin: 1,
+            ..QlosureConfig::default()
+        };
+        let mut cut = 0;
+        for (device, n_qubits) in [
+            (backends::square_grid(4, 5), 18),
+            (backends::aspen16(), 16),
+            (backends::line(8), 8),
+        ] {
+            for seed in 1..=3u64 {
+                let circuit = mixed_circuit(n_qubits, 120, seed);
+                cut += check_window_scan(&circuit, &device, &config);
+            }
+        }
+        assert!(cut > 0, "no window stopped before the last front gate");
     }
 
     #[test]

@@ -6,29 +6,23 @@
 //! routed output circuit, per-physical-qubit decay and schedule-clock
 //! tables, and the candidate-SWAP frontier. `RoutingState` maintains all
 //! of it **incrementally**: executing a batch of ready gates or applying a
-//! SWAP updates the affected entries in place (and returns an undo delta),
-//! instead of recomputing the front layer, candidate set or clocks from
-//! scratch every step.
+//! SWAP updates the affected entries in place, instead of recomputing the
+//! front layer, candidate set or clocks from scratch every step.
+//! [`RoutingState::speculate_swap`] scores a SWAP on the layout alone and
+//! takes it back.
 //!
-//! Two orderings of the candidate frontier are exposed because the paper's
-//! mapper and the baselines enumerate SWAPs differently (and candidate
-//! order feeds tie-breaking, which must stay bit-for-bit stable):
+//! # The walk over pending gates
 //!
-//! * [`RoutingState::swap_candidates`] — edges incident to the *sorted
-//!   physical* front qubits (the SABRE/Cirq/tket convention);
-//! * [`RoutingState::swap_candidates_logical`] — edges incident to the
-//!   *sorted logical* front qubits mapped through the layout (the Qlosure
-//!   §V-D convention).
-//!
-//! # Apply/undo deltas
-//!
-//! [`RoutingState::apply_swap`] and [`RoutingState::execute_ready`] return
-//! [`SwapDelta`] / [`ExecDelta`] tokens; feeding them back into
-//! [`RoutingState::undo_swap`] / [`RoutingState::undo_execute`] restores
-//! the state exactly (the property suite asserts fingerprint equality).
-//! Search-style passes can therefore explore swap sequences on the real
-//! state without cloning it; cost evaluation of a single speculative SWAP
-//! has a cheaper layout-only path, [`RoutingState::speculate_swap`].
+//! [`RoutingState::pending`] yields the unexecuted gates in index order.
+//! Index order is a topological order, and every unexecuted gate outside
+//! the front has an unexecuted predecessor with a smaller index, so this
+//! is the order a topological walk from the front would take, and its
+//! first gate is always a front gate. A gate is executed iff its
+//! in-degree is 0 and it is not in the front; a cursor that only
+//! [`RoutingState::execute_ready`] advances starts the walk at the first
+//! unexecuted gate. The Qlosure look-ahead window (§V-C), the baselines'
+//! [`RoutingState::lookahead`] and the hierarchical mapper's fragment scan
+//! all read the routing state through this one walk.
 
 use crate::bits::BitVec;
 use crate::layout::Layout;
@@ -36,36 +30,8 @@ use crate::MappingResult;
 use circuit::{Circuit, DependenceGraph, Gate};
 use topology::{CouplingGraph, DistanceMatrix};
 
-/// Undo token for one applied SWAP (see [`RoutingState::apply_swap`]).
-#[derive(Clone, Debug)]
-pub struct SwapDelta {
-    p1: u32,
-    p2: u32,
-    clock1: u32,
-    clock2: u32,
-    clock_max: u32,
-    routed_len: usize,
-}
-
-/// Undo token for one [`RoutingState::execute_ready`] cascade.
-#[derive(Clone, Debug)]
-pub struct ExecDelta {
-    /// How many gates the cascade executed (0 = nothing was ready and the
-    /// state is unchanged).
-    pub ran: usize,
-    /// Executed gate indices in emission order.
-    executed: Vec<u32>,
-    /// The front layer as it was before the cascade.
-    front_before: Vec<u32>,
-    /// First-touch previous clock values of the physical qubits the
-    /// executed gates advanced.
-    clock_prev: Vec<(u32, u32)>,
-    clock_max_before: u32,
-    routed_len: usize,
-}
-
 /// A comparable snapshot of everything [`RoutingState`] mutates — used to
-/// assert that apply-then-undo restores the state exactly. Floats are
+/// assert that speculation leaves the state exactly as it was. Floats are
 /// captured as bit patterns so the comparison is exact, not approximate.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateFingerprint {
@@ -82,7 +48,7 @@ pub struct StateFingerprint {
 /// Mutable state of a swap-until-free routing loop, shared by every
 /// routing pass in the workspace: front layer, layout, routed output,
 /// decay/clock tables and the candidate-SWAP frontier, all maintained
-/// incrementally with apply/undo deltas ([`SwapDelta`], [`ExecDelta`]).
+/// incrementally.
 pub struct RoutingState<'a> {
     circuit: &'a Circuit,
     device: &'a CouplingGraph,
@@ -103,15 +69,15 @@ pub struct RoutingState<'a> {
     /// Front-membership bitset, kept in lockstep with `front`: bit `g` is
     /// set iff `g` is in the front layer.
     front_bits: BitVec,
+    /// The smallest unexecuted gate index (`n_gates` once done), where
+    /// [`RoutingState::pending`] starts.
+    first_pending: u32,
     // --- reusable scratch (the incremental part) ---
     /// Ready-gate collection buffer for `execute_ready`.
     ready_buf: Vec<u32>,
     /// Per-gate marker bitset backing the O(front) retain in
     /// `execute_ready`.
     gate_mark: BitVec,
-    /// First-touch stamps for clock-delta recording.
-    touch_stamp: Vec<u32>,
-    touch_epoch: u32,
     /// Cached sorted-deduplicated logical operands of the two-qubit front
     /// gates; valid while `fl_version == front_version`.
     fl_cache: Vec<u32>,
@@ -164,10 +130,9 @@ impl<'a> RoutingState<'a> {
             clock: vec![0; device.n_qubits()],
             clock_max: 0,
             front_bits,
+            first_pending: 0,
             ready_buf: Vec::new(),
             gate_mark: BitVec::new(n_gates),
-            touch_stamp: vec![0; device.n_qubits()],
-            touch_epoch: 0,
             fl_cache: Vec::new(),
             fl_version: 0,
             edge_stamp: vec![0; device.n_directed_edges()],
@@ -223,6 +188,18 @@ impl<'a> RoutingState<'a> {
     /// otherwise scan the front vector or load in-degrees.
     pub fn in_front(&self, g: u32) -> bool {
         self.front_bits.get(g as usize)
+    }
+
+    /// Whether gate `g` has run: no unexecuted predecessor is left and it
+    /// is not waiting in the front.
+    pub(crate) fn executed(&self, g: u32) -> bool {
+        self.indeg[g as usize] == 0 && !self.in_front(g)
+    }
+
+    /// The unexecuted gates in index order, which is topological order;
+    /// the first is always a front gate (see the module docs).
+    pub fn pending(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.first_pending..self.indeg.len() as u32).filter(move |&g| !self.executed(g))
     }
 
     /// Whether every gate has been routed.
@@ -292,30 +269,10 @@ impl<'a> RoutingState<'a> {
     /// The next `limit` upcoming two-qubit gates beyond the front, in
     /// topological (program) order.
     pub fn lookahead(&self, limit: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity(limit);
-        let mut visited = vec![false; self.dag.n_gates()];
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>> =
-            std::collections::BinaryHeap::new();
-        for &g in &self.front {
-            visited[g as usize] = true;
-            heap.push(std::cmp::Reverse(g));
-        }
-        while let Some(std::cmp::Reverse(g)) = heap.pop() {
-            let in_front = self.indeg[g as usize] == 0;
-            if !in_front && self.circuit.gates()[g as usize].is_two_qubit() {
-                out.push(g);
-                if out.len() >= limit {
-                    break;
-                }
-            }
-            for &s in self.dag.succs(g) {
-                if !visited[s as usize] {
-                    visited[s as usize] = true;
-                    heap.push(std::cmp::Reverse(s));
-                }
-            }
-        }
-        out
+        self.pending()
+            .filter(|&g| !self.in_front(g) && self.circuit.gates()[g as usize].is_two_qubit())
+            .take(limit)
+            .collect()
     }
 
     // --- candidate frontier (incrementally cached on the front layer) ---
@@ -367,65 +324,31 @@ impl<'a> RoutingState<'a> {
         out
     }
 
-    /// Candidate SWAP edges incident to the blocked front, enumerated in
-    /// **sorted-logical-qubit** order mapped through the layout
-    /// (deduplicated, first occurrence wins). Covers *every* front gate;
-    /// the Qlosure pass instead draws its §V-D candidates from its
-    /// look-ahead window, whose budget can exclude late front gates.
-    pub fn swap_candidates_logical(&mut self) -> Vec<(u32, u32)> {
-        self.front_logicals();
-        self.edge_epoch += 1;
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        for i in 0..self.fl_cache.len() {
-            let p1 = self.layout.phys(self.fl_cache[i]);
-            push_incident_edges(
-                self.device,
-                p1,
-                self.edge_epoch,
-                &mut self.edge_stamp,
-                &mut out,
-            );
-        }
-        out
-    }
-
-    // --- mutations (each returns / consumes an undo delta) ---
+    // --- mutations ---
 
     /// Executes every currently executable front gate, **cascading**:
     /// freed successors that are themselves executable run in the same
     /// call. Ready gates execute in ascending index order per wave.
-    /// Returns the undo delta (its [`ExecDelta::ran`] field is the number
-    /// of gates executed).
-    pub fn execute_ready(&mut self) -> ExecDelta {
-        let mut delta = ExecDelta {
-            ran: 0,
-            executed: Vec::new(),
-            front_before: Vec::new(),
-            clock_prev: Vec::new(),
-            clock_max_before: self.clock_max,
-            routed_len: self.routed.gates().len(),
-        };
-        self.touch_epoch += 1;
+    /// Returns the number of gates executed.
+    pub fn execute_ready(&mut self) -> usize {
+        let mut ran = 0;
         loop {
             let mut ready = std::mem::take(&mut self.ready_buf);
             ready.clear();
             ready.extend(self.front.iter().copied().filter(|&g| self.executable(g)));
             if ready.is_empty() {
                 self.ready_buf = ready;
-                return delta;
-            }
-            if delta.ran == 0 {
-                delta.front_before = self.front.clone();
+                break;
             }
             ready.sort_unstable();
             for &g in &ready {
                 let gate = &self.circuit.gates()[g as usize];
                 self.emit_mapped(gate);
-                self.advance_clock_tracked(g, &mut delta.clock_prev);
+                self.advance_clock(g);
                 self.gate_mark.set(g as usize);
                 self.front_bits.clear(g as usize);
             }
-            delta.ran += ready.len();
+            ran += ready.len();
             let mark = &self.gate_mark;
             self.front.retain(|&g| !mark.get(g as usize));
             for &g in &ready {
@@ -438,51 +361,21 @@ impl<'a> RoutingState<'a> {
                     }
                 }
             }
-            delta.executed.extend_from_slice(&ready);
             self.front_version += 1;
             self.ready_buf = ready;
         }
-    }
-
-    /// Rolls back one [`execute_ready`](Self::execute_ready) cascade.
-    /// Deltas must be undone in reverse application order.
-    pub fn undo_execute(&mut self, delta: ExecDelta) {
-        if delta.ran == 0 {
-            return;
+        let n_gates = self.indeg.len() as u32;
+        while self.first_pending < n_gates && self.executed(self.first_pending) {
+            self.first_pending += 1;
         }
-        self.routed.truncate(delta.routed_len);
-        for &g in &delta.executed {
-            for &s in self.dag.succs(g) {
-                self.indeg[s as usize] += 1;
-            }
-        }
-        for &(p, prev) in &delta.clock_prev {
-            self.clock[p as usize] = prev;
-        }
-        self.clock_max = delta.clock_max_before;
-        for &g in &self.front {
-            self.front_bits.clear(g as usize);
-        }
-        self.front = delta.front_before;
-        for &g in &self.front {
-            self.front_bits.set(g as usize);
-        }
-        self.front_version += 1;
+        ran
     }
 
     /// Emits a SWAP on the coupled pair `(p1, p2)`: appends the gate,
     /// updates the layout, advances both schedule clocks to the swap's
-    /// completion cycle and counts it. Returns the undo delta.
-    pub fn apply_swap(&mut self, p1: u32, p2: u32) -> SwapDelta {
+    /// completion cycle and counts it.
+    pub fn apply_swap(&mut self, p1: u32, p2: u32) {
         debug_assert!(self.device.is_adjacent(p1, p2), "swap on uncoupled pair");
-        let delta = SwapDelta {
-            p1,
-            p2,
-            clock1: self.clock[p1 as usize],
-            clock2: self.clock[p2 as usize],
-            clock_max: self.clock_max,
-            routed_len: self.routed.gates().len(),
-        };
         self.routed.swap(p1, p2);
         self.layout.apply_swap(p1, p2);
         let done = self.clock[p1 as usize].max(self.clock[p2 as usize]) + 1;
@@ -490,18 +383,6 @@ impl<'a> RoutingState<'a> {
         self.clock[p2 as usize] = done;
         self.clock_max = self.clock_max.max(done);
         self.swaps += 1;
-        delta
-    }
-
-    /// Rolls back one [`apply_swap`](Self::apply_swap). Deltas must be
-    /// undone in reverse application order.
-    pub fn undo_swap(&mut self, delta: SwapDelta) {
-        self.layout.apply_swap(delta.p1, delta.p2);
-        self.clock[delta.p1 as usize] = delta.clock1;
-        self.clock[delta.p2 as usize] = delta.clock2;
-        self.clock_max = delta.clock_max;
-        self.routed.truncate(delta.routed_len);
-        self.swaps -= 1;
     }
 
     /// Applies `(p1, p2)` to the **layout only**, evaluates `f` on the
@@ -555,7 +436,8 @@ impl<'a> RoutingState<'a> {
         }
     }
 
-    /// Exact snapshot of the mutable state, for apply/undo verification.
+    /// Exact snapshot of the mutable state, for checking that speculation
+    /// leaves no trace.
     pub fn fingerprint(&self) -> StateFingerprint {
         StateFingerprint {
             front: self.front.clone(),
@@ -579,9 +461,8 @@ impl<'a> RoutingState<'a> {
         self.routed.push(mapped);
     }
 
-    /// Advances the schedule clocks for executed gate `g`, recording
-    /// first-touch previous values into `prev` for undo.
-    fn advance_clock_tracked(&mut self, g: u32, prev: &mut Vec<(u32, u32)>) {
+    /// Advances the schedule clocks for executed gate `g`.
+    fn advance_clock(&mut self, g: u32) {
         let gate = &self.circuit.gates()[g as usize];
         if gate.qubits.is_empty() {
             return;
@@ -595,12 +476,7 @@ impl<'a> RoutingState<'a> {
         let dur = u32::from(gate.is_scheduled());
         let done = ready + dur;
         for &q in &gate.qubits {
-            let p = self.layout.phys(q);
-            if self.touch_stamp[p as usize] != self.touch_epoch {
-                self.touch_stamp[p as usize] = self.touch_epoch;
-                prev.push((p, self.clock[p as usize]));
-            }
-            self.clock[p as usize] = done;
+            self.clock[self.layout.phys(q) as usize] = done;
         }
         self.clock_max = self.clock_max.max(done);
     }
@@ -644,8 +520,7 @@ mod tests {
         c.cx(1, 2);
         let layout = Layout::identity(3, 3);
         let mut st = RoutingState::new(&c, &device, &dist, layout);
-        let ran = st.execute_ready().ran;
-        assert_eq!(ran, 4);
+        assert_eq!(st.execute_ready(), 4);
         assert!(st.is_done());
         assert_eq!(st.routed_len(), 4);
     }
@@ -657,14 +532,13 @@ mod tests {
         let mut c = Circuit::new(4);
         c.cx(0, 3);
         let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(4, 4));
-        assert_eq!(st.execute_ready().ran, 0);
+        assert_eq!(st.execute_ready(), 0);
         assert_eq!(st.blocked_front(), vec![0]);
         assert_eq!(st.front_physicals(), vec![0, 3]);
         assert_eq!(st.front_logicals(), &[0, 3]);
         let cands = st.swap_candidates();
         assert!(cands.contains(&(0, 1)) && cands.contains(&(2, 3)));
         assert_eq!(cands.len(), 2);
-        assert_eq!(st.swap_candidates_logical(), cands);
     }
 
     #[test]
@@ -676,7 +550,7 @@ mod tests {
         let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(5, 5));
         st.execute_ready();
         st.force_route(0);
-        assert_eq!(st.execute_ready().ran, 1);
+        assert_eq!(st.execute_ready(), 1);
         assert!(st.is_done());
         assert_eq!(st.swaps(), 3);
     }
@@ -697,53 +571,26 @@ mod tests {
     }
 
     #[test]
-    fn swap_apply_undo_restores_fingerprint() {
-        let device = backends::ring(6);
-        let dist = device.distances();
-        let mut c = Circuit::new(6);
-        c.cx(0, 3);
-        let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(6, 6));
-        st.execute_ready();
-        let before = st.fingerprint();
-        let d = st.apply_swap(0, 1);
-        assert_ne!(st.fingerprint(), before);
-        st.undo_swap(d);
-        assert_eq!(st.fingerprint(), before);
-    }
-
-    #[test]
-    fn execute_apply_undo_restores_fingerprint() {
+    fn pending_skips_executed_gates_and_starts_at_a_front_gate() {
         let device = backends::line(4);
         let dist = device.distances();
         let mut c = Circuit::new(4);
         c.h(0);
-        c.cx(0, 1);
-        c.cx(0, 3); // blocked after the first two run
+        c.cx(0, 3); // blocked
+        c.h(1);
+        c.cx(1, 2);
+        c.cx(0, 2); // waits on gates 1 and 3
         let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(4, 4));
-        let before = st.fingerprint();
-        let d = st.execute_ready();
-        assert_eq!(d.ran, 2);
-        assert_ne!(st.fingerprint(), before);
-        st.undo_execute(d);
-        assert_eq!(st.fingerprint(), before);
-        // Redo is deterministic.
-        let d2 = st.execute_ready();
-        assert_eq!(d2.ran, 2);
-    }
-
-    #[test]
-    fn empty_execute_delta_is_a_noop_undo() {
-        let device = backends::line(4);
-        let dist = device.distances();
-        let mut c = Circuit::new(4);
-        c.cx(0, 3);
-        let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(4, 4));
-        st.execute_ready();
-        let before = st.fingerprint();
-        let d = st.execute_ready(); // nothing ready: blocked front
-        assert_eq!(d.ran, 0);
-        st.undo_execute(d);
-        assert_eq!(st.fingerprint(), before);
+        assert_eq!(st.pending().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(st.execute_ready(), 3);
+        assert_eq!(st.pending().collect::<Vec<_>>(), vec![1, 4]);
+        assert!(st.in_front(1) && !st.executed(1));
+        assert!(st.executed(0) && st.executed(2) && st.executed(3));
+        assert!(!st.executed(4) && !st.in_front(4));
+        st.force_route(1);
+        assert_eq!(st.execute_ready(), 2);
+        assert_eq!(st.pending().next(), None);
+        assert!(st.is_done());
     }
 
     #[test]

@@ -268,29 +268,20 @@ impl RoutingPass for HierRoutingPass {
         // fragment canonicalization.
         let region_edges: Vec<Vec<(u32, u32)>> =
             rm.regions.iter().map(|r| r.device.edges()).collect();
-        let n_gates = state.circuit().gates().len();
-        // Epoch-stamped scratch: `front_stamp[g] == epoch` means g is in
-        // the current front; `host_stamp[l] == epoch` means logical l is
-        // hosted in the fragment's region.
-        let mut front_stamp = vec![0u32; n_gates];
+        // Epoch-stamped scratch: `host_stamp[l] == epoch` means logical l
+        // is hosted in the fragment's region.
         let mut host_stamp = vec![0u32; state.circuit().n_qubits()];
         let mut epoch = 0u32;
-        // Monotone scan cursor: the minimum unexecuted gate index only
-        // ever grows.
-        let mut cursor = 0usize;
         let mut fragment: Vec<u32> = Vec::new();
         loop {
             state.execute_ready();
             if state.is_done() {
                 return;
             }
-            epoch += 1;
-            for &g in state.front() {
-                front_stamp[g as usize] = epoch;
-            }
             // After `execute_ready`, every front gate is a blocked
-            // two-qubit gate; the frontmost one anchors this step.
-            let g = *state.front().iter().min().expect("front non-empty");
+            // two-qubit gate; the first pending gate is the frontmost one,
+            // and it anchors this step.
+            let g = state.pending().next().expect("pending gates remain");
             let (ra, rb) = {
                 let (a, b) = state.circuit().gates()[g as usize]
                     .qubit_pair()
@@ -306,30 +297,19 @@ impl RoutingPass for HierRoutingPass {
                 continue;
             }
             let region = &rm.regions[ra as usize];
+            epoch += 1;
             for &p in &region.qubits {
                 if let Some(l) = state.layout().logical(p) {
                     host_stamp[l as usize] = epoch;
                 }
             }
-            // The minimum unexecuted gate index equals the minimum front
-            // index, so the cursor lands exactly on g.
-            while cursor < n_gates
-                && state.in_degree(cursor as u32) == 0
-                && front_stamp[cursor] != epoch
-            {
-                cursor += 1;
-            }
-            debug_assert_eq!(cursor as u32, g, "cursor must land on the anchor gate");
             // Fragment: maximal program-order run of pending gates whose
-            // operands all live in the region; the first gate straddling
-            // the boundary is a dependence barrier that ends the scan.
+            // operands all live in the region, starting at the anchor; the
+            // first gate straddling the boundary is a dependence barrier
+            // that ends the scan.
             fragment.clear();
-            'scan: for i in cursor..n_gates {
-                let executed = state.in_degree(i as u32) == 0 && front_stamp[i] != epoch;
-                if executed {
-                    continue;
-                }
-                let gate = &state.circuit().gates()[i];
+            for i in state.pending() {
+                let gate = &state.circuit().gates()[i as usize];
                 if gate.qubits.is_empty() {
                     continue;
                 }
@@ -339,12 +319,12 @@ impl RoutingPass for HierRoutingPass {
                     .filter(|&&q| host_stamp[q as usize] == epoch)
                     .count();
                 if inside == gate.qubits.len() {
-                    fragment.push(i as u32);
+                    fragment.push(i);
                 } else if inside > 0 {
-                    break 'scan;
+                    break;
                 }
             }
-            debug_assert!(fragment.contains(&g), "fragment must contain its anchor");
+            debug_assert_eq!(fragment.first(), Some(&g), "the anchor opens the fragment");
             // Per-fragment trace span: covers canonicalization, the plan
             // lookup (tier noted below) and the replay. Inert unless the
             // job installed a tracing context.

@@ -979,7 +979,8 @@ fn trace_id_for(id: u64, admitted_ns: u64) -> u64 {
 /// Runs one admitted job to a stored outcome, bracketing it in the job's
 /// span tree: the queue-wait child is recorded retroactively from the
 /// admission stamp, and the reserved root span is finished last so it
-/// covers admission through completion.
+/// covers admission through completion. A panicking mapper fails its job
+/// with one `warn` journal event; the worker lives on.
 fn run_job(job: &AdmittedJob) -> JobOutcome {
     let pickup_ns = trace::now_ns();
     // Same two stamps as the queue-wait span: the metrics percentile ring
@@ -987,7 +988,25 @@ fn run_job(job: &AdmittedJob) -> JobOutcome {
     let queue_seconds = pickup_ns.saturating_sub(job.admitted_ns) as f64 * 1e-9;
     job.tracer
         .record_root_child("intake:queue-wait", job.admitted_ns, pickup_ns, Vec::new());
-    let outcome = execute_job(job, queue_seconds);
+    let run = std::panic::AssertUnwindSafe(|| execute_job(job, queue_seconds));
+    let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-text panic payload".to_string());
+        journal::event(
+            Level::Warn,
+            "intake",
+            "mapper panicked, job failed",
+            &[
+                ("job", &job.id.to_string()),
+                ("mapper", job.spec.mapper.name()),
+                ("message", &message),
+            ],
+        );
+        JobOutcome::Failed(format!("mapper panicked: {message}"))
+    });
     let mut notes = vec![("mapper".to_string(), job.spec.mapper.name().to_string())];
     if matches!(outcome, JobOutcome::Failed(_)) {
         notes.push(("outcome".to_string(), "failed".to_string()));
@@ -1001,9 +1020,8 @@ fn run_job(job: &AdmittedJob) -> JobOutcome {
     outcome
 }
 
-/// The mapping work itself. Total: mapper errors and verification
-/// failures become [`JobOutcome::Failed`], never a panic that would take
-/// a daemon worker down.
+/// The mapping work itself: mapper errors and verification failures
+/// become [`JobOutcome::Failed`] (a panic is caught by [`run_job`]).
 fn execute_job(job: &AdmittedJob, queue_seconds: f64) -> JobOutcome {
     let spec = &job.spec;
     let t0 = Instant::now();
@@ -1121,6 +1139,63 @@ pub(crate) mod tests {
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0);
+    }
+
+    /// A mapper whose `map` always panics.
+    struct Panicking;
+
+    impl Mapper for Panicking {
+        fn name(&self) -> &str {
+            "panicking"
+        }
+
+        fn map(&self, _: &Circuit, _: &CouplingGraph) -> MappingResult {
+            panic!("deliberate mapper panic")
+        }
+    }
+
+    #[test]
+    fn a_panicking_mapper_fails_its_job_not_its_worker() {
+        journal::enable();
+        let long = Duration::from_secs(60);
+        let svc = service(1, 8, 8);
+        let cursor = journal::recent(1).last().map_or(0, |e| e.seq);
+        let panics = svc
+            .submit(JobSpec {
+                mapper: Arc::new(Panicking),
+                ..spec(Priority::Interactive, 10, 1)
+            })
+            .unwrap();
+        let healthy = spec(Priority::Interactive, 10, 2);
+        let direct = result_fingerprint(&healthy.mapper.map(&healthy.circuit, &healthy.device));
+        let next = svc.submit(healthy).unwrap();
+        match svc.wait(panics, long) {
+            Some(JobOutcome::Failed(message)) => {
+                assert_eq!(message, "mapper panicked: deliberate mapper panic");
+            }
+            other => panic!("the panicking job must fail, got {other:?}"),
+        }
+        // The one worker survived: it runs the next job, bit for bit.
+        match svc.wait(next, long) {
+            Some(JobOutcome::Done(summary)) => {
+                assert_eq!(summary.fingerprint, format!("{direct:016x}"));
+            }
+            other => panic!("the next job must complete, got {other:?}"),
+        }
+        let (_, events) = journal::events_since(cursor, Level::Warn);
+        let warnings = events
+            .iter()
+            .filter(|e| e.subsystem == "intake")
+            .filter(|e| e.fields.contains(&("job".to_string(), panics.to_string())))
+            .count();
+        assert_eq!(warnings, 1, "one warning per panicking job");
+        let (stopped, done) = std::sync::mpsc::channel();
+        let stopping = std::thread::spawn(move || {
+            let _ = stopped.send(svc.shutdown());
+        });
+        let stats = done.recv_timeout(long).expect("shutdown drains");
+        stopping.join().expect("the shutdown thread exits");
+        assert_eq!((stats.completed, stats.failed), (1, 1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Qlosure configuration surface (cost variants, bidirectional passes).
 //!
 //! ```text
-//! cargo run --release -p qlosure --example custom_topology
+//! cargo run --release --example custom_topology
 //! ```
 
 use circuit::verify_routing;

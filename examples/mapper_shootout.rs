@@ -3,7 +3,7 @@
 //! miniature.
 //!
 //! ```text
-//! cargo run --release -p qlosure --example mapper_shootout [depth]
+//! cargo run --release --example mapper_shootout [depth]
 //! ```
 
 use baselines::all_baselines;

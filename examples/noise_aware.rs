@@ -5,7 +5,7 @@
 //! of the routed circuit is compared against noise-blind routing.
 //!
 //! ```text
-//! cargo run --release -p qlosure --example noise_aware
+//! cargo run --release --example noise_aware
 //! ```
 
 use circuit::verify_routing;

@@ -4,7 +4,7 @@
 //! analysis details the paper's §IV builds on.
 //!
 //! ```text
-//! cargo run --release -p qlosure --example qft_on_sherbrooke
+//! cargo run --release --example qft_on_sherbrooke
 //! ```
 
 use affine::{DependenceAnalysis, WeightMode};

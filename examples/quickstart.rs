@@ -1,7 +1,7 @@
 //! Quickstart: route a small QASM program onto IBM Sherbrooke with Qlosure.
 //!
 //! ```text
-//! cargo run --release -p qlosure --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use qlosure::{route_qasm, QlosureConfig};

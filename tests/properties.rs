@@ -418,14 +418,50 @@ proptest! {
     }
 }
 
-// ---------- RoutingState delta/undo invariants ----------
+// ---------- RoutingState's walk over pending gates ----------
+
+/// The unexecuted gates in the order a `BinaryHeap` walk from the front
+/// pops them: the front gates and their transitive successors, smallest
+/// index first.
+fn heap_pending(st: &RoutingState<'_>) -> Vec<u32> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut visited = vec![false; st.dag().n_gates()];
+    let mut heap = BinaryHeap::new();
+    for &g in st.front() {
+        visited[g as usize] = true;
+        heap.push(Reverse(g));
+    }
+    let mut out = Vec::new();
+    while let Some(Reverse(g)) = heap.pop() {
+        out.push(g);
+        for &s in st.dag().succs(g) {
+            if !visited[s as usize] {
+                visited[s as usize] = true;
+                heap.push(Reverse(s));
+            }
+        }
+    }
+    out
+}
+
+/// `RoutingState::lookahead` over the heap walk: its first `limit`
+/// two-qubit gates outside the front.
+fn heap_lookahead(st: &RoutingState<'_>, limit: usize) -> Vec<u32> {
+    let gates = st.circuit().gates();
+    heap_pending(st)
+        .into_iter()
+        .filter(|&g| st.in_degree(g) > 0 && gates[g as usize].is_two_qubit())
+        .take(limit)
+        .collect()
+}
 
 /// Drives a `RoutingState` through a full routing of a pseudo-random
-/// circuit, checking at every step that apply-then-undo restores the
-/// state fingerprint exactly (for both gate-execution cascades and
-/// SWAPs), that redo is deterministic, and that layout-only speculation
-/// leaves no trace.
-fn check_routing_state_round_trips(seed: u64, n_gates: usize) -> Result<(), TestCaseError> {
+/// circuit, checking after every execution cascade that `pending()`
+/// yields what the heap walk from the front pops, in the same order, and
+/// that `lookahead(l)` equals the heap walk's for l ∈ {1, 4, 16}; and,
+/// before every SWAP, that layout-only speculation leaves no trace.
+fn check_routing_state_pending_walk(seed: u64, n_gates: usize) -> Result<(), TestCaseError> {
     let device = backends::square_grid(3, 3);
     let dist = device.distances();
     let mut c = Circuit::new(9);
@@ -447,28 +483,22 @@ fn check_routing_state_round_trips(seed: u64, n_gates: usize) -> Result<(), Test
     let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(9, 9));
     let mut steps = 0usize;
     loop {
-        // Execution cascade: apply, undo, re-apply.
-        let before = st.fingerprint();
-        let delta = st.execute_ready();
-        let ran = delta.ran;
-        let after = st.fingerprint();
-        st.undo_execute(delta);
-        prop_assert_eq!(st.fingerprint(), before, "undo_execute must restore");
-        let redo = st.execute_ready();
-        prop_assert_eq!(redo.ran, ran, "redo must be deterministic");
-        prop_assert_eq!(st.fingerprint(), after, "redo must reproduce");
+        st.execute_ready();
+        let pending: Vec<u32> = st.pending().collect();
+        prop_assert_eq!(&pending, &heap_pending(&st), "pending() is the heap walk");
+        for limit in [1, 4, 16] {
+            prop_assert_eq!(st.lookahead(limit), heap_lookahead(&st, limit));
+        }
         if st.is_done() {
             break;
         }
-        // SWAP: apply, undo, speculate, re-apply.
+        prop_assert!(st.in_front(pending[0]), "the walk starts at a front gate");
+        // SWAP: speculate, then apply.
         let candidates = st.swap_candidates();
         prop_assert!(!candidates.is_empty(), "blocked front has candidates");
         s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
         let (p1, p2) = candidates[(s >> 33) as usize % candidates.len()];
         let before = st.fingerprint();
-        let swap_delta = st.apply_swap(p1, p2);
-        st.undo_swap(swap_delta);
-        prop_assert_eq!(st.fingerprint(), before.clone(), "undo_swap must restore");
         let _ = st.speculate_swap(p1, p2, |view| view.swaps());
         prop_assert_eq!(st.fingerprint(), before, "speculation must be traceless");
         st.apply_swap(p1, p2);
@@ -489,8 +519,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24).with_seed(0x0051_EC05_0DE1_7A50))]
 
     #[test]
-    fn routing_state_apply_undo_round_trips(seed in 0u64..10_000, n_gates in 5usize..40) {
-        check_routing_state_round_trips(seed, n_gates)?;
+    fn routing_state_pending_walk_matches_the_heap_walk(
+        seed in 0u64..10_000,
+        n_gates in 5usize..40,
+    ) {
+        check_routing_state_pending_walk(seed, n_gates)?;
     }
 }
 
@@ -1247,8 +1280,8 @@ fn smoke_qasm_round_trip_fixed_point() {
 }
 
 #[test]
-fn smoke_routing_state_apply_undo_fixed_case() {
-    check_routing_state_round_trips(42, 24).expect("fixed apply/undo case");
+fn smoke_routing_state_pending_walk_fixed_case() {
+    check_routing_state_pending_walk(42, 24).expect("fixed pending-walk case");
 }
 
 #[test]
