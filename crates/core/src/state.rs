@@ -23,12 +23,28 @@
 //! unexecuted gate. The Qlosure look-ahead window (§V-C), the baselines'
 //! [`RoutingState::lookahead`] and the hierarchical mapper's fragment scan
 //! all read the routing state through this one walk.
+//!
+//! # Ready rechecks
+//!
+//! [`RoutingState::execute_ready`] tests only the gates on its `recheck`
+//! list, not the whole front. The invariant: a front gate that is not on
+//! the list was unexecutable when the last call ended, and none of its
+//! qubits has moved since, so it is still unexecutable. A gate joins the
+//! list when it enters the front, and [`RoutingState::apply_swap`] adds
+//! the front gates of the two logical qubits it moves. It finds them in
+//! `front_of`, which relies on each logical qubit having at most one front
+//! gate: the [`DependenceGraph`] joins every two consecutive uses of a
+//! qubit. [`RoutingState::speculate_swap`] restores the layout it changes,
+//! so it adds nothing.
 
 use crate::bits::BitVec;
 use crate::layout::Layout;
 use crate::MappingResult;
 use circuit::{Circuit, DependenceGraph, Gate};
 use topology::{CouplingGraph, DistanceMatrix};
+
+/// `front_of`'s entry for a logical qubit with no two-qubit front gate.
+const NO_GATE: u32 = u32::MAX;
 
 /// A comparable snapshot of everything [`RoutingState`] mutates — used to
 /// assert that speculation leaves the state exactly as it was. Floats are
@@ -72,6 +88,10 @@ pub struct RoutingState<'a> {
     /// The smallest unexecuted gate index (`n_gates` once done), where
     /// [`RoutingState::pending`] starts.
     first_pending: u32,
+    /// Each logical qubit's two-qubit front gate, or [`NO_GATE`].
+    front_of: Vec<u32>,
+    /// The front gates `execute_ready` must test (see the module docs).
+    recheck: Vec<u32>,
     // --- reusable scratch (the incremental part) ---
     /// Ready-gate collection buffer for `execute_ready`.
     ready_buf: Vec<u32>,
@@ -111,9 +131,15 @@ impl<'a> RoutingState<'a> {
         let initial_layout = layout.as_assignment().to_vec();
         let n_gates = circuit.gates().len();
         let mut front_bits = BitVec::new(n_gates);
+        let mut front_of = vec![NO_GATE; initial_layout.len()];
         for &g in &front {
             front_bits.set(g as usize);
+            if let Some((a, b)) = circuit.gates()[g as usize].qubit_pair() {
+                front_of[a as usize] = g;
+                front_of[b as usize] = g;
+            }
         }
+        let recheck = front.clone();
         RoutingState {
             circuit,
             device,
@@ -131,6 +157,8 @@ impl<'a> RoutingState<'a> {
             clock_max: 0,
             front_bits,
             first_pending: 0,
+            front_of,
+            recheck,
             ready_buf: Vec::new(),
             gate_mark: BitVec::new(n_gates),
             fl_cache: Vec::new(),
@@ -330,21 +358,31 @@ impl<'a> RoutingState<'a> {
     /// freed successors that are themselves executable run in the same
     /// call. Ready gates execute in ascending index order per wave.
     /// Returns the number of gates executed.
+    ///
+    /// Only the gates on the recheck list are tested (see the module
+    /// docs); the rest of the front is known to be blocked.
     pub fn execute_ready(&mut self) -> usize {
         let mut ran = 0;
         loop {
             let mut ready = std::mem::take(&mut self.ready_buf);
             ready.clear();
-            ready.extend(self.front.iter().copied().filter(|&g| self.executable(g)));
+            ready.extend(self.recheck.iter().copied().filter(|&g| self.executable(g)));
+            self.recheck.clear();
             if ready.is_empty() {
                 self.ready_buf = ready;
                 break;
             }
             ready.sort_unstable();
+            ready.dedup();
             for &g in &ready {
+                debug_assert!(self.in_front(g), "rechecked gate {g} is not in the front");
                 let gate = &self.circuit.gates()[g as usize];
                 self.emit_mapped(gate);
                 self.advance_clock(g);
+                if let Some((a, b)) = gate.qubit_pair() {
+                    self.front_of[a as usize] = NO_GATE;
+                    self.front_of[b as usize] = NO_GATE;
+                }
                 self.gate_mark.set(g as usize);
                 self.front_bits.clear(g as usize);
             }
@@ -358,6 +396,11 @@ impl<'a> RoutingState<'a> {
                     if self.indeg[s as usize] == 0 {
                         self.front.push(s);
                         self.front_bits.set(s as usize);
+                        if let Some((a, b)) = self.circuit.gates()[s as usize].qubit_pair() {
+                            self.front_of[a as usize] = s;
+                            self.front_of[b as usize] = s;
+                        }
+                        self.recheck.push(s);
                     }
                 }
             }
@@ -373,11 +416,20 @@ impl<'a> RoutingState<'a> {
 
     /// Emits a SWAP on the coupled pair `(p1, p2)`: appends the gate,
     /// updates the layout, advances both schedule clocks to the swap's
-    /// completion cycle and counts it.
+    /// completion cycle and counts it. The front gates of the two moved
+    /// logical qubits go on the recheck list.
     pub fn apply_swap(&mut self, p1: u32, p2: u32) {
         debug_assert!(self.device.is_adjacent(p1, p2), "swap on uncoupled pair");
         self.routed.swap(p1, p2);
         self.layout.apply_swap(p1, p2);
+        for p in [p1, p2] {
+            if let Some(l) = self.layout.logical(p) {
+                let g = self.front_of[l as usize];
+                if g != NO_GATE {
+                    self.recheck.push(g);
+                }
+            }
+        }
         let done = self.clock[p1 as usize].max(self.clock[p2 as usize]) + 1;
         self.clock[p1 as usize] = done;
         self.clock[p2 as usize] = done;
@@ -397,13 +449,17 @@ impl<'a> RoutingState<'a> {
     }
 
     /// Routes the front gate `g` directly along a shortest path (forced
-    /// progress for heuristics that stall).
+    /// progress for heuristics that stall): the device's BFS path, which
+    /// [`CouplingGraph::hop_path`] reads off a hop-count matrix.
     pub fn force_route(&mut self, g: u32) {
         let (a, b) = self.circuit.gates()[g as usize]
             .qubit_pair()
             .expect("blocked gates are two-qubit");
         let (pa, pb) = (self.layout.phys(a), self.layout.phys(b));
-        let path = self.device.shortest_path(pa, pb).expect("connected device");
+        let path = self
+            .device
+            .hop_path(self.dist, pa, pb)
+            .expect("connected device");
         for win in path.windows(2).take(path.len().saturating_sub(2)) {
             self.apply_swap(win[0], win[1]);
         }
@@ -590,6 +646,32 @@ mod tests {
         st.force_route(1);
         assert_eq!(st.execute_ready(), 2);
         assert_eq!(st.pending().next(), None);
+        assert!(st.is_done());
+    }
+
+    #[test]
+    fn a_swap_unblocks_a_gate_that_entered_the_front_calls_earlier() {
+        let device = backends::line(8);
+        let dist = device.distances();
+        let mut c = Circuit::new(8);
+        c.h(0);
+        c.cx(0, 2); // enters the front when h(0) runs, blocked
+        c.cx(4, 7); // blocked
+        let mut st = RoutingState::new(&c, &device, &dist, Layout::identity(8, 8));
+        assert_eq!(st.execute_ready(), 1);
+        assert!(st.in_front(1) && st.in_front(2));
+        // Swaps that move logical 7 next to logical 4 run cx(4, 7) ...
+        st.apply_swap(5, 6);
+        assert_eq!(st.execute_ready(), 0);
+        st.apply_swap(6, 7);
+        assert_eq!(st.execute_ready(), 0);
+        st.apply_swap(5, 6);
+        assert_eq!(st.execute_ready(), 1);
+        assert!(st.in_front(1) && !st.in_front(2));
+        // ... and the swap that brings logical 2 next to logical 0 runs
+        // cx(0, 2), four calls after it entered the front.
+        st.apply_swap(1, 2);
+        assert_eq!(st.execute_ready(), 1);
         assert!(st.is_done());
     }
 

@@ -76,55 +76,72 @@ pub fn canonicalize(
     }
     // Pass 2: structural completion of unused slots.
     if to_local.len() < n {
-        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Adjacency in CSR form: `nbrs[start[v]..start[v + 1]]`.
+        let mut start = vec![0usize; n + 1];
         for &(a, b) in edges {
-            adjacency[a as usize].push(b);
-            adjacency[b as usize].push(a);
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
         }
-        // Label-invariant per-vertex signature pieces.
-        let degree: Vec<u32> = adjacency.iter().map(|nbrs| nbrs.len() as u32).collect();
-        let neighbor_degrees: Vec<Vec<u32>> = adjacency
-            .iter()
-            .map(|nbrs| {
-                let mut ds: Vec<u32> = nbrs.iter().map(|&u| degree[u as usize]).collect();
-                ds.sort_unstable();
-                ds
-            })
-            .collect();
-        while to_local.len() < n {
-            let mut best: Option<(Vec<u32>, usize)> = None;
-            for v in 0..n {
-                if canon_of[v] != u32::MAX {
-                    continue;
-                }
-                let mut anchors: Vec<u32> = adjacency[v]
-                    .iter()
-                    .filter(|&&u| canon_of[u as usize] != u32::MAX)
-                    .map(|&u| canon_of[u as usize])
-                    .collect();
-                anchors.sort_unstable();
-                // Vertices with no canonical neighbor yet sort last
-                // (u32::MAX sentinel head), so growth stays anchored to
-                // the already-labeled part whenever possible.
-                let mut signature =
-                    Vec::with_capacity(anchors.len() + neighbor_degrees[v].len() + 2);
-                signature.push(if anchors.is_empty() { u32::MAX } else { 0 });
-                signature.extend_from_slice(&anchors);
-                signature.push(degree[v]);
-                signature.extend_from_slice(&neighbor_degrees[v]);
-                // Ties break toward the smaller original index: a
-                // deterministic choice, and canonical-key-invariant
-                // whenever the tied vertices are automorphic (see
-                // module docs).
-                let better = match &best {
-                    None => true,
-                    Some((sig, _)) => signature < *sig,
-                };
-                if better {
-                    best = Some((signature, v));
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut nbrs = vec![0u32; start[n]];
+        let mut fill = start.clone();
+        for &(a, b) in edges {
+            nbrs[fill[a as usize]] = b;
+            fill[a as usize] += 1;
+            nbrs[fill[b as usize]] = a;
+            fill[b as usize] += 1;
+        }
+        // Label-invariant per-vertex signature pieces, in the same layout:
+        // the sorted neighbour degrees, and the canonical ids of the
+        // labeled neighbours (the anchors, `n_anchors[v]` of them). Ids are
+        // handed out in increasing order, so appending keeps anchors
+        // sorted.
+        let degree = |v: usize| (start[v + 1] - start[v]) as u32;
+        let mut neighbor_degrees: Vec<u32> = nbrs.iter().map(|&u| degree(u as usize)).collect();
+        for v in 0..n {
+            neighbor_degrees[start[v]..start[v + 1]].sort_unstable();
+        }
+        let mut anchors = vec![0u32; start[n]];
+        let mut n_anchors = vec![0usize; n];
+        let mut labeled = 0;
+        loop {
+            // Hand the ids given out since the last round to their
+            // neighbours' anchors.
+            for (id, &u) in to_local.iter().enumerate().skip(labeled) {
+                for &w in &nbrs[start[u as usize]..start[u as usize + 1]] {
+                    anchors[start[w as usize] + n_anchors[w as usize]] = id as u32;
+                    n_anchors[w as usize] += 1;
                 }
             }
-            let (_, v) = best.expect("unassigned vertex exists");
+            labeled = to_local.len();
+            if labeled == n {
+                break;
+            }
+            // The signature `[head, anchors…, degree, neighbour
+            // degrees…]`, compared lexicographically without building it.
+            // Vertices with no canonical neighbor yet sort last (u32::MAX
+            // head), so growth stays anchored to the already-labeled part
+            // whenever possible.
+            let signature = |v: usize| {
+                let own = &anchors[start[v]..start[v] + n_anchors[v]];
+                let head = if own.is_empty() { u32::MAX } else { 0 };
+                std::iter::once(head)
+                    .chain(own.iter().copied())
+                    .chain(std::iter::once(degree(v)))
+                    .chain(neighbor_degrees[start[v]..start[v + 1]].iter().copied())
+            };
+            // Ties break toward the smaller original index: a
+            // deterministic choice, and canonical-key-invariant whenever
+            // the tied vertices are automorphic (see module docs).
+            let mut best: Option<usize> = None;
+            for v in (0..n).filter(|&v| canon_of[v] == u32::MAX) {
+                if best.is_none_or(|b| signature(v).lt(signature(b))) {
+                    best = Some(v);
+                }
+            }
+            let v = best.expect("unassigned vertex exists");
             canon_of[v] = to_local.len() as u32;
             to_local.push(v as u32);
         }
@@ -254,6 +271,152 @@ mod tests {
             let edge = (la.min(lb), la.max(lb));
             assert!(edges.contains(&edge), "{edge:?} is not a region edge");
         }
+    }
+
+    /// The completion as it was before it compared signatures lazily: a
+    /// fresh signature `Vec` per unassigned vertex per step. Kept to pin
+    /// [`canonicalize`] against it.
+    fn reference_canonicalize(
+        n_local: u32,
+        edges: &[(u32, u32)],
+        gates: &[FragmentGate],
+        config: Arc<str>,
+    ) -> Canonical {
+        let n = n_local as usize;
+        let mut canon_of = vec![u32::MAX; n];
+        let mut to_local: Vec<u32> = Vec::with_capacity(n);
+        for (_, operands, _) in gates {
+            for &q in operands {
+                if canon_of[q as usize] == u32::MAX {
+                    canon_of[q as usize] = to_local.len() as u32;
+                    to_local.push(q);
+                }
+            }
+        }
+        if to_local.len() < n {
+            let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for &(a, b) in edges {
+                adjacency[a as usize].push(b);
+                adjacency[b as usize].push(a);
+            }
+            let degree: Vec<u32> = adjacency.iter().map(|nbrs| nbrs.len() as u32).collect();
+            let neighbor_degrees: Vec<Vec<u32>> = adjacency
+                .iter()
+                .map(|nbrs| {
+                    let mut ds: Vec<u32> = nbrs.iter().map(|&u| degree[u as usize]).collect();
+                    ds.sort_unstable();
+                    ds
+                })
+                .collect();
+            while to_local.len() < n {
+                let mut best: Option<(Vec<u32>, usize)> = None;
+                for v in 0..n {
+                    if canon_of[v] != u32::MAX {
+                        continue;
+                    }
+                    let mut anchors: Vec<u32> = adjacency[v]
+                        .iter()
+                        .filter(|&&u| canon_of[u as usize] != u32::MAX)
+                        .map(|&u| canon_of[u as usize])
+                        .collect();
+                    anchors.sort_unstable();
+                    let mut signature = vec![if anchors.is_empty() { u32::MAX } else { 0 }];
+                    signature.extend_from_slice(&anchors);
+                    signature.push(degree[v]);
+                    signature.extend_from_slice(&neighbor_degrees[v]);
+                    if best.as_ref().is_none_or(|(sig, _)| signature < *sig) {
+                        best = Some((signature, v));
+                    }
+                }
+                let (_, v) = best.expect("unassigned vertex exists");
+                canon_of[v] = to_local.len() as u32;
+                to_local.push(v as u32);
+            }
+        }
+        let mut canon_edges: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|&(a, b)| {
+                let (x, y) = (canon_of[a as usize], canon_of[b as usize]);
+                (x.min(y), x.max(y))
+            })
+            .collect();
+        canon_edges.sort_unstable();
+        let canon_gates: Vec<FragmentGate> = gates
+            .iter()
+            .map(|(kind, operands, params)| {
+                (
+                    kind.clone(),
+                    operands.iter().map(|&q| canon_of[q as usize]).collect(),
+                    params.clone(),
+                )
+            })
+            .collect();
+        Canonical {
+            key: FragmentKey {
+                n_local,
+                edges: canon_edges,
+                gates: canon_gates,
+                config,
+            },
+            to_local,
+        }
+    }
+
+    #[test]
+    fn lazy_completion_equals_the_signature_vectors() {
+        let mut devices: Vec<(u32, Vec<(u32, u32)>)> = [
+            "line:7",
+            "ring:9",
+            "king:3x4",
+            "grid:4x5",
+            "aspen16",
+            "king9",
+            "heavy-hex:3",
+        ]
+        .iter()
+        .map(|name| {
+            let g = topology::backends::by_name(name).expect("device name");
+            (g.n_qubits() as u32, g.edges())
+        })
+        .collect();
+        let grid = topology::backends::by_name("grid:16x16").expect("device name");
+        for budget in [9, crate::coarsen::auto_budget(grid.n_qubits()), 25] {
+            let rm = crate::coarsen::coarsen(&grid, budget, None);
+            for region in &rm.regions {
+                devices.push((region.len() as u32, region.device.edges()));
+            }
+        }
+        let mut s = 0x5EED_CA70_u64;
+        let mut next = |m: u32| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) % u64::from(m)) as u32
+        };
+        let mut fragments = 0;
+        for (n, edges) in &devices {
+            for _ in 0..12 {
+                let gates: Vec<FragmentGate> = (0..next(13))
+                    .map(|_| {
+                        let (a, b) = (next(*n), next(*n));
+                        if a == b {
+                            gate(GateKind::H, &[a])
+                        } else {
+                            gate(GateKind::Cx, &[a, b])
+                        }
+                    })
+                    .collect();
+                let lazy = canonicalize(*n, edges, &gates, Arc::from("cfg"));
+                let reference = reference_canonicalize(*n, edges, &gates, Arc::from("cfg"));
+                assert_eq!(lazy.key, reference.key, "{n} slots, gates {gates:?}");
+                assert_eq!(
+                    lazy.to_local, reference.to_local,
+                    "{n} slots, gates {gates:?}"
+                );
+                fragments += 1;
+            }
+        }
+        assert!(fragments > 500, "{fragments} fragments");
     }
 
     #[test]

@@ -33,8 +33,7 @@
 //!   shards, routing each submit by the FNV content-key of its backend
 //!   so every shard's device caches stay hot for *its* devices;
 //! * [`client`] — a blocking client ([`Client`]), used by `qlosure-cli`,
-//!   the `service_throughput`/`service_fleet` benches and the
-//!   integration tests.
+//!   the `service_fleet` bench and the integration tests.
 //!
 //! # In-process quickstart
 //!

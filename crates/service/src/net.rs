@@ -294,8 +294,9 @@ enum FrameEvent {
     /// The peer closed the connection (a partial unterminated frame, if
     /// any, is discarded — it can never complete).
     Eof,
-    /// The [`MAX_FRAME`] bound was hit before the newline; `usize` is the
-    /// observed length. The connection is desynchronized past this point.
+    /// The frame is longer than [`MAX_FRAME`] bytes, whether the bound was
+    /// hit before the newline or the newline came just past it; `usize` is
+    /// the observed length. The caller answers and closes the connection.
     Oversized(usize),
     /// No complete frame arrived within the idle limit — a stalled or
     /// slowloris peer. The caller should close the connection.
@@ -323,6 +324,9 @@ fn read_frame<S: Read>(
         if buf.last() == Some(&b'\n') {
             while matches!(buf.last(), Some(b'\n' | b'\r')) {
                 buf.pop();
+            }
+            if buf.len() > MAX_FRAME {
+                return Ok(FrameEvent::Oversized(buf.len()));
             }
             let line = match String::from_utf8(buf) {
                 Ok(line) => line,
@@ -367,9 +371,10 @@ fn read_frame<S: Read>(
 /// handed to `answer`, whose response is written back as one line; its
 /// flag says whether that response ends the connection (a shutdown
 /// acknowledgement). A frame that does not parse is answered with its
-/// typed error and the connection keeps serving; a frame cut off at the
+/// typed error and the connection keeps serving; a frame over the
 /// [`MAX_FRAME`] bound is answered with `oversized` and the connection
-/// closed, since it is desynchronized past that point.
+/// closed, since a frame cut off at the bound leaves the stream
+/// desynchronized, and one rule holds for every length past it.
 pub(crate) fn serve_connection(
     stream: Stream,
     stop: &StopFlag,

@@ -178,7 +178,11 @@ impl CouplingGraph {
                 }
             }
         }
-        DistanceMatrix { n, data }
+        DistanceMatrix {
+            n,
+            data,
+            hops: true,
+        }
     }
 
     /// The shared, cached distance matrix of this graph.
@@ -195,7 +199,10 @@ impl CouplingGraph {
     }
 
     /// One shortest path from `a` to `b` (inclusive of both endpoints), or
-    /// `None` when unreachable. Ties broken toward smaller qubit indices.
+    /// `None` when unreachable: the lexicographically smallest of all
+    /// shortest paths, since the BFS visits neighbours in ascending order
+    /// and keeps each qubit's first discoverer. [`CouplingGraph::hop_path`]
+    /// relies on this rule.
     pub fn shortest_path(&self, a: u32, b: u32) -> Option<Vec<u32>> {
         if a == b {
             return Some(vec![a]);
@@ -224,6 +231,36 @@ impl CouplingGraph {
         }
         None
     }
+
+    /// [`CouplingGraph::shortest_path`]'s path, read off `dist`, this
+    /// graph's distance matrix, without a search.
+    ///
+    /// The lexicographically smallest shortest path steps each time to the
+    /// smallest neighbour one hop closer to `b`, so on a hop-count matrix
+    /// (one [`CouplingGraph::distances`] built) the walk reads only row `b`
+    /// at the path's qubits and their neighbours. Any other matrix, such as
+    /// a noise model's weighted one, takes the BFS.
+    pub fn hop_path(&self, dist: &DistanceMatrix, a: u32, b: u32) -> Option<Vec<u32>> {
+        if !dist.hops {
+            return self.shortest_path(a, b);
+        }
+        let mut left = dist.get(b, a);
+        if left == DistanceMatrix::UNREACHABLE {
+            return None;
+        }
+        let mut path = Vec::with_capacity(usize::from(left) + 1);
+        path.push(a);
+        let mut cur = a;
+        while left > 0 {
+            left -= 1;
+            cur = *self
+                .neighbors(cur)
+                .iter()
+                .find(|&&q| dist.get(b, q) == left)?;
+            path.push(cur);
+        }
+        Some(path)
+    }
 }
 
 /// Symmetric matrix of SWAP distances between physical qubits.
@@ -231,6 +268,9 @@ impl CouplingGraph {
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<u16>,
+    /// Whether [`CouplingGraph::distances`] built it, so every entry is a
+    /// hop count; [`CouplingGraph::hop_path`] walks only such a matrix.
+    hops: bool,
 }
 
 impl DistanceMatrix {
@@ -238,14 +278,19 @@ impl DistanceMatrix {
     pub const UNREACHABLE: u16 = u16::MAX;
 
     /// Builds a matrix from raw row-major data (used by the noise module's
-    /// weighted distances).
+    /// weighted distances). It is not marked as hop counts, so
+    /// [`CouplingGraph::hop_path`] takes the BFS on it.
     ///
     /// # Panics
     ///
     /// Panics unless `data.len() == n * n`.
     pub fn from_raw(n: usize, data: Vec<u16>) -> Self {
         assert_eq!(data.len(), n * n, "distance matrix shape");
-        DistanceMatrix { n, data }
+        DistanceMatrix {
+            n,
+            data,
+            hops: false,
+        }
     }
 
     /// Number of qubits.
@@ -326,6 +371,83 @@ mod tests {
         let p = g.shortest_path(1, 4).unwrap();
         assert_eq!(p, vec![1, 2, 3, 4]);
         assert_eq!(g.shortest_path(3, 3), Some(vec![3]));
+    }
+
+    /// A connected graph of 2 to 40 qubits from `seed`: a random spanning
+    /// tree plus random chords, so shortest paths often tie.
+    fn random_connected(seed: u64) -> CouplingGraph {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        let mut next = |m: u32| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) % u64::from(m)) as u32
+        };
+        let n = 2 + next(39);
+        let mut edges: Vec<(u32, u32)> = (1..n).map(|v| (next(v), v)).collect();
+        for _ in 0..next(2 * n) {
+            let (a, b) = (next(n), next(n));
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+        CouplingGraph::new(format!("random-{seed}"), n as usize, &edges)
+    }
+
+    #[test]
+    fn hop_path_walks_the_bfs_path_down_a_distance_row() {
+        let names = [
+            "aspen16",
+            "sycamore54",
+            "king9",
+            "ankaa3",
+            "sherbrooke",
+            "grid:12x12",
+            "heavy-hex:7",
+        ];
+        let mut graphs: Vec<CouplingGraph> = names
+            .iter()
+            .map(|name| crate::backends::by_name(name).expect("roster name"))
+            .collect();
+        graphs.extend((0..40).map(random_connected));
+        let mut pairs = 0;
+        for g in &graphs {
+            let dist = g.distances();
+            for a in 0..g.n_qubits() as u32 {
+                for b in 0..g.n_qubits() as u32 {
+                    let path = g.hop_path(&dist, a, b);
+                    assert_eq!(path, g.shortest_path(a, b), "{}: {a} -> {b}", g.name());
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 80_000, "{pairs} pairs");
+        let islands = CouplingGraph::new("two islands", 4, &[(0, 1), (2, 3)]);
+        assert_eq!(islands.hop_path(&islands.distances(), 0, 3), None);
+    }
+
+    #[test]
+    fn hop_path_takes_the_bfs_on_matrices_not_built_from_hops() {
+        // Ring of 6 whose link (0, 1) is bad: the weighted matrix puts 1
+        // five units from 0, the long way round, and a doubled hop matrix
+        // has no neighbour exactly one unit closer. A walk would follow
+        // the first and get stuck on the second.
+        let g = crate::backends::ring(6);
+        let mut noise = crate::NoiseModel::uniform(&g, 0.001, 0.0001);
+        noise.set_edge_error(0, 1, 0.4);
+        let weighted = noise.weighted_distances(&g);
+        let hops = g.distances();
+        let doubled =
+            DistanceMatrix::from_raw(6, (0..36u32).map(|i| 2 * hops.get(i / 6, i % 6)).collect());
+        assert!(hops.hops && !weighted.hops && !doubled.hops);
+        for dist in [&weighted, &doubled] {
+            for a in 0..6u32 {
+                for b in 0..6u32 {
+                    assert_eq!(g.hop_path(dist, a, b), g.shortest_path(a, b), "{a} -> {b}");
+                }
+            }
+        }
+        assert_eq!(g.hop_path(&weighted, 0, 1), Some(vec![0, 1]));
     }
 
     #[test]

@@ -457,10 +457,12 @@ fn heap_lookahead(st: &RoutingState<'_>, limit: usize) -> Vec<u32> {
 }
 
 /// Drives a `RoutingState` through a full routing of a pseudo-random
-/// circuit, checking after every execution cascade that `pending()`
-/// yields what the heap walk from the front pops, in the same order, and
-/// that `lookahead(l)` equals the heap walk's for l ∈ {1, 4, 16}; and,
-/// before every SWAP, that layout-only speculation leaves no trace.
+/// circuit, checking after every execution cascade that no front gate is
+/// left executable (what a rescan of the whole front would guarantee),
+/// that `pending()` yields what the heap walk from the front pops, in the
+/// same order, and that `lookahead(l)` equals the heap walk's for
+/// l ∈ {1, 4, 16}; and, before every SWAP, that layout-only speculation
+/// leaves no trace.
 fn check_routing_state_pending_walk(seed: u64, n_gates: usize) -> Result<(), TestCaseError> {
     let device = backends::square_grid(3, 3);
     let dist = device.distances();
@@ -484,6 +486,17 @@ fn check_routing_state_pending_walk(seed: u64, n_gates: usize) -> Result<(), Tes
     let mut steps = 0usize;
     loop {
         st.execute_ready();
+        let runnable: Vec<u32> = st
+            .front()
+            .iter()
+            .copied()
+            .filter(|&g| st.executable(g))
+            .collect();
+        prop_assert!(
+            runnable.is_empty(),
+            "executable front gates left: {:?}",
+            runnable
+        );
         let pending: Vec<u32> = st.pending().collect();
         prop_assert_eq!(&pending, &heap_pending(&st), "pending() is the heap walk");
         for limit in [1, 4, 16] {

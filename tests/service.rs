@@ -347,6 +347,31 @@ fn version_mismatch_and_malformed_frames_are_rejected_politely() {
             0,
             "{endpoint}: the connection closes after an oversized frame"
         );
+        // The same length with its newline right after it: the same
+        // answer and the same hang-up. The read timeout turns a
+        // connection left open into a failure instead of a hang.
+        let stream = service::Stream::connect(endpoint).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut frame = vec![b'x'; MAX_FRAME + 1];
+        frame.push(b'\n');
+        writer.write_all(&frame).unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        match parse_response(reply.trim_end()).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized),
+            other => panic!("{endpoint}: expected oversized, got {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(
+            reader.read_line(&mut rest).ok(),
+            Some(0),
+            "{endpoint}: the connection closes after a newline-terminated oversized frame"
+        );
     }
     let mut client = connect(&daemon);
     client.shutdown().unwrap();
